@@ -9,12 +9,10 @@ around 70 percent.
 import numpy as np
 
 from csisched import SystemConfig, UserLink, build_rate_tables, optimize_pilot_length
-from csisched import OptimizerSettings
 
 M, K, C = 64, 40, 50
 SNR_DB_LIST = (0.0, 10.0)
 SEED = 1
-SETTINGS = OptimizerSettings(tol=1e-6)
 
 
 def main():
@@ -28,7 +26,7 @@ def main():
         for precoder in ("mf", "zf"):
             cfg = SystemConfig(M=M, K=K, C=C, precoder=precoder)
             tables = build_rate_tables(cfg, users)
-            best_T, best, curve = optimize_pilot_length(cfg, users, tables, SETTINGS)
+            best_T, best, curve = optimize_pilot_length(cfg, users, tables)
             curves[precoder] = (best_T, best, curve)
         mf_curve = curves["mf"][2]
         zf_curve = curves["zf"][2]

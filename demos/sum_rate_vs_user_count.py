@@ -9,13 +9,11 @@ pilot length grows far slower than K.
 import numpy as np
 
 from csisched import SystemConfig, UserLink, build_rate_tables, optimize_pilot_length
-from csisched import OptimizerSettings
 
 M, C = 64, 50
 SNR_DB = 10.0
 K_VALUES = range(5, 55, 5)
 SEED = 1
-SETTINGS = OptimizerSettings(tol=1e-6)
 
 
 def main():
@@ -27,7 +25,7 @@ def main():
                  for r in rng.uniform(0.6, 0.9, K)]
         cfg = SystemConfig(M=M, K=K, C=C, precoder="zf")
         tables = build_rate_tables(cfg, users)
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables, SETTINGS)
+        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
         ces = curve[K].objective if K < C else 0.0
         ies.append(best.objective)
         print(f"  {K:3d}   {best_T:5d}   {best.objective:8.3f}   {ces:8.3f}")

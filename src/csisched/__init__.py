@@ -14,17 +14,14 @@ from .ratemodel import (
     build_rate_tables,
     g_extended,
     g_smoothed,
-    g_smoothed_prime,
     rate,
     s_of_p,
     s_smoothed,
-    s_smoothed_prime,
     sinr,
     total_snr,
 )
 from .optimizer import (
     FrequencyAllocation,
-    OptimizerSettings,
     optimize_frequencies,
     optimize_pilot_length,
     project_capped_simplex,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .optimizer import OptimizerSettings, optimize_frequencies, optimize_pilot_length
+from .optimizer import optimize_frequencies, optimize_pilot_length
 from .ratemodel import (
     MF,
     ZF,
@@ -37,12 +37,12 @@ _SCENARIO_KEYS = {
     "rho_lo": float,
     "rho_hi": float,
     "seed": int,
-    "delta": float,
-    "step_a": float,
-    "max_iter": int,
-    "tol": float,
     "horizon": int,
 }
+
+# Solver knobs that existing scenario files may carry; the exact solver has
+# none, so they are parsed for type and otherwise ignored.
+_RETIRED_KEYS = {"delta": float, "step_a": float, "max_iter": int, "tol": float}
 
 
 def db_to_linear(db: float) -> float:
@@ -51,7 +51,7 @@ def db_to_linear(db: float) -> float:
 
 @dataclass
 class Scenario:
-    """Experiment configuration: system, user generator and solver knobs."""
+    """Experiment configuration: system, user generator and schedule horizon."""
 
     M: int = 64
     K: int = 40
@@ -61,10 +61,6 @@ class Scenario:
     rho_lo: float = 0.6
     rho_hi: float = 0.9
     seed: int = 1
-    delta: float = 0.05
-    step_a: float = 0.1
-    max_iter: int = 50_000
-    tol: float = 1e-9
     horizon: int = 10_000
     users: list[UserLink] | None = field(default=None, repr=False)
 
@@ -80,11 +76,6 @@ class Scenario:
             K=self.K if K is None else K,
             C=self.C,
             precoder=self.precoder if precoder is None else precoder,
-        )
-
-    def settings(self) -> OptimizerSettings:
-        return OptimizerSettings(
-            delta=self.delta, step_a=self.step_a, max_iter=self.max_iter, tol=self.tol
         )
 
     def draw_users(self, K: int | None = None, snr_db: float | None = None) -> list[UserLink]:
@@ -108,7 +99,8 @@ class Scenario:
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:
-    """Parse a flat key = value scenario file; unknown keys are errors."""
+    """Parse a flat key = value scenario file; unknown keys are errors and
+    retired solver keys are type-checked, then ignored."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -119,6 +111,9 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, raw = text.partition("=")
             key = key.strip()
+            if key in _RETIRED_KEYS:
+                _RETIRED_KEYS[key](raw.strip())
+                continue
             if key not in _SCENARIO_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
             values[key] = _SCENARIO_KEYS[key](raw.strip())
@@ -211,13 +206,12 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
     """Optimal updating frequency against temporal correlation, per pilot
     length and precoder (both precoders on the same user draw)."""
     users = scenario.draw_users()
-    settings = scenario.settings()
     rows = []
     for precoder in (MF, ZF):
         cfg = scenario.config(precoder=precoder)
         tables = build_rate_tables(cfg, users)
         for T in t_values:
-            alloc = optimize_frequencies(cfg, users, tables, int(T), settings)
+            alloc = optimize_frequencies(cfg, users, tables, int(T))
             order = np.argsort([u.rho for u in users], kind="stable")
             for k in order:
                 rows.append((users[k].rho, float(alloc.p[k]), int(T), precoder))
@@ -231,14 +225,13 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
 def cmd_sweep_pilot(scenario: Scenario, snr_db_list) -> SweepResult:
     """Discounted sum rate against pilot length per SNR and precoder; the
     per-curve argmax row is marked."""
-    settings = scenario.settings()
     rows = []
     for snr_db in snr_db_list:
         users = scenario.draw_users(snr_db=snr_db)
         for precoder in (MF, ZF):
             cfg = scenario.config(precoder=precoder)
             tables = build_rate_tables(cfg, users)
-            best_T, _, curve = optimize_pilot_length(cfg, users, tables, settings)
+            best_T, _, curve = optimize_pilot_length(cfg, users, tables)
             for alloc in curve:
                 rows.append(
                     (float(snr_db), precoder, alloc.T, alloc.objective, alloc.T == best_T)
@@ -256,14 +249,13 @@ def cmd_sweep_users(scenario: Scenario, k_values) -> SweepResult:
     The continuous scheme estimates everyone every block (T = K), which
     leaves no data room once K reaches the block length.
     """
-    settings = scenario.settings()
     rows = []
     for K in k_values:
         K = int(K)
         users = scenario.draw_users(K=K)
         cfg = scenario.config(K=K)
         tables = build_rate_tables(cfg, users)
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables, settings)
+        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
         ces = curve[K].objective if K < scenario.C else 0.0
         rows.append((K, best_T, best.objective, ces))
     return SweepResult(
@@ -299,7 +291,7 @@ def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None, seed: i
     cfg = scenario.config()
     users = scenario.draw_users()
     tables = build_rate_tables(cfg, users)
-    alloc = optimize_frequencies(cfg, users, tables, int(T), scenario.settings())
+    alloc = optimize_frequencies(cfg, users, tables, int(T))
     horizon = scenario.horizon if horizon is None else int(horizon)
     seed = scenario.seed if seed is None else seed
     schedule = build_schedule(alloc.p, int(T), horizon, seed)

@@ -1,10 +1,12 @@
-"""Pilot-budget allocation by gradient projection.
+"""Pilot-budget allocation by an exact water-fill.
 
 Maximizes the discounted sum rate (1 - T/C) * sum_k S_k(p_k) over the capped
-simplex {p : sum p_k = T, 0 <= p_k <= 1}.  Gradients come from the smoothed
-per-user rate curves; each step moves along the normalized gradient and is
-projected back onto the feasible set.  An outer one-dimensional search picks
-the pilot length T.
+simplex {p : sum p_k = T, 0 <= p_k <= 1}.  Every S_k is concave and piecewise
+linear, so a greedy fill of the users' segments in order of decreasing slope
+solves the problem exactly (Ibaraki & Katoh, Resource Allocation Problems,
+1988), up to a sliver for users whose S_k jumps at p = 0 (see
+optimize_frequencies).  An outer one-dimensional search picks the pilot
+length T.
 """
 
 from __future__ import annotations
@@ -13,39 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import DEFAULT_DELTA, RateTableBank, SystemConfig
+from .ratemodel import TAIL_EPSILON, RateTableBank, SystemConfig
 
-# Gradient of the smoothed rate is one-sided at p = 0; evaluate it just
-# inside the domain and let the projection handle the boundary.
-P_MIN_GRADIENT = 1e-6
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Gradient-projection knobs.  Deterministic: no randomness anywhere."""
-
-    delta: float = DEFAULT_DELTA
-    step_a: float = 0.1
-    max_iter: int = 50_000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
-        if self.step_a <= 0:
-            raise ValueError("step_a must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# Frequency given to a user whose S_k jumps at p = 0 (a table cut at the hard
+# cap) when the fill would leave it at 0.  1/P_SLIVER = 2**52 is exact, and
+# P_SLIVER times a slope, at most G(N_MAX_HARD + 1), stays below TAIL_EPSILON
+# while R(0) is below 450 bits per channel use.
+P_SLIVER = 2.0**-52
 
 
 @dataclass
 class FrequencyAllocation:
     """Optimizer output: per-user updating frequencies under pilot length T.
 
-    ``objective`` is the unsmoothed discounted sum rate actually achieved by
-    ``p`` (the smoothed surrogate is used only while iterating).
+    ``objective`` is the discounted sum rate achieved by ``p``.  The solver
+    is exact in one pass, so ``iterations`` is 0 and ``converged`` is True.
     """
 
     p: np.ndarray
@@ -117,27 +101,21 @@ def _fold_residual(p: np.ndarray, T: float) -> None:
             p[k] = min(max(p[k] + residual, 0.0), 1.0)
 
 
-def optimize_frequencies(
-    cfg: SystemConfig,
-    users,
-    tables,
-    T: int,
-    settings: OptimizerSettings | None = None,
-    callback=None,
-) -> FrequencyAllocation:
+def optimize_frequencies(cfg: SystemConfig, users, tables, T: int) -> FrequencyAllocation:
     """Optimal updating frequencies for a fixed pilot length T.
 
-    Starts from the uniform point p_k = T/K and ascends the smoothed
-    objective along the normalized gradient with projection after every
-    step.  A step is accepted only if the smoothed objective does not
-    decrease; otherwise the step size is halved, which keeps the ascent
-    monotone on this concave problem.  A final exact refinement removes the
-    smoothing bias from the returned allocation.
-    ``callback(iteration, p, smoothed_objective)`` fires after every
-    accepted step.
+    Each S_k is concave and piecewise linear in p with breakpoints at
+    p = 1/m, so the problem is a separable concave allocation and the greedy
+    water-fill is exact: fill segments in order of decreasing slope,
+    splitting the marginal equal-slope group in proportion to segment width
+    (which keeps identical users symmetric).
+
+    A table cut at the hard cap (rho near 1) keeps a tail rate
+    R(n_max) >= TAIL_EPSILON that S_k collects for every p > 0 but not at
+    p = 0.  That supremum is not attained, so a user the fill leaves at 0
+    gets the sliver p_k = P_SLIVER instead, which collects the jump and
+    costs the others at most P_SLIVER times the marginal slope.
     """
-    if settings is None:
-        settings = OptimizerSettings()
     K = len(tables)
     if len(users) != K:
         raise ValueError("users and tables must have matching length")
@@ -154,73 +132,23 @@ def optimize_frequencies(
         if K > cfg.C:
             raise ValueError("T = K with K > C leaves no room for data")
         p = np.ones(K)
-        objective = discount * float(bank.s(p).sum())
-        return FrequencyAllocation(p, T, objective, 0, True)
-
-    delta = settings.delta
-    p = np.full(K, T / K)
-    obj = discount * float(bank.s_hat(p, delta).sum())
-    iterations = 0
-    converged = False
-    last_step = settings.step_a
-    while iterations < settings.max_iter:
-        iterations += 1
-        grad = bank.s_hat_prime(np.clip(p, P_MIN_GRADIENT, 1.0), delta)
-        # The projection annihilates the mean component of the step, so
-        # normalize the centered gradient: same direction after projecting,
-        # but the step length stays commensurate with actual movement
-        # instead of collapsing once the marginals equalize.
-        grad = grad - grad.mean()
-        gnorm = float(np.sqrt(grad @ grad))
-        if gnorm < 1e-302:
-            converged = True
-            break
-        direction = grad / gnorm
-        # Backtracking warm-started from the last accepted step: near the
-        # optimum each iteration costs a couple of objective evaluations
-        # instead of a full halving run from step_a.
-        step = min(8.0 * last_step, settings.step_a)
-        cand = None
-        cand_obj = -np.inf
-        while step > 1e-15:
-            trial = project_capped_simplex(p + step * direction, float(T))
-            trial_obj = discount * float(bank.s_hat(trial, delta).sum())
-            if trial_obj >= obj:
-                cand, cand_obj = trial, trial_obj
-                break
-            step *= 0.5
-        if cand is None:
-            converged = True
-            break
-        gain = cand_obj - obj
-        p, obj = cand, cand_obj
-        last_step = step
-        if callback is not None:
-            callback(iterations, p, obj)
-        if gain < settings.tol:
-            converged = True
-            break
-    p = _refine_exact(bank, p, T)
+    elif bank.L == 0:
+        # Every table holds only R(0), so every S_k is constant for p > 0.
+        p = np.full(K, T / K)
+    else:
+        p = _water_fill(bank, T)
     objective = discount * float(bank.s(p).sum())
-    return FrequencyAllocation(p, T, objective, iterations, converged)
+    return FrequencyAllocation(p, T, objective, 0, True)
 
 
-def _refine_exact(bank: RateTableBank, p: np.ndarray, T: int) -> np.ndarray:
-    """Exact maximizer of the unsmoothed objective, replacing the iterate if
-    it is at least as good.
-
-    The unsmoothed per-user rate is concave and piecewise linear in p with
-    breakpoints at p = 1/m, so the problem is a separable concave allocation
-    and the greedy marginal allocation is exact: fill segments in order of
-    decreasing slope, splitting the marginal equal-slope group in proportion
-    to segment width (which keeps identical users symmetric).  This removes
-    the O(delta) smoothing bias that gradient iterations cannot see.
-    """
+def _water_fill(bank: RateTableBank, T: int) -> np.ndarray:
+    """Greedy marginal allocation of the budget 0 < T < K over the users'
+    segments."""
     K, L = bank.K, bank.L
     m = np.arange(1, L + 1)
     # Slope of S_k on p in [1/(m+1), 1/m] is G_k(m) - m R_k(m); the padded
     # tail rows reproduce the constant tail slope automatically.  The last
-    # segment covers (0, 1/L].
+    # segment covers (0, 1/L], so each user's widths sum to 1.
     slopes = (bank.prefix[:, 1 : L + 1] - m * bank.rates[:, 1 : L + 1]).ravel()
     widths = 1.0 / m - 1.0 / (m + 1)
     widths[-1] = 1.0 / L
@@ -229,43 +157,39 @@ def _refine_exact(bank: RateTableBank, p: np.ndarray, T: int) -> np.ndarray:
     order = np.argsort(-slopes, kind="stable")
     cum = np.cumsum(widths[order])
     cut = int(np.searchsorted(cum, T - 1e-12))
+    # The marginal group: the segments whose slope ties the cut's, which sit
+    # next to each other in the sorted order.  Its budget exceeds 1e-12.
+    tie = slopes[order[cut]]
+    g0 = int(np.count_nonzero(slopes > tie))
+    members = order[g0 : int(np.count_nonzero(slopes >= tie))]
+    budget = T - (cum[g0 - 1] if g0 > 0 else 0.0)
     fill = np.zeros(K * L)
-    if cut >= slopes.size:
-        fill[:] = widths
-    else:
-        tie = slopes[order[cut]]
-        group = slopes[order] == tie
-        g0 = int(np.argmax(group))
-        fill[order[:g0]] = widths[order[:g0]]
-        budget = T - (cum[g0 - 1] if g0 > 0 else 0.0)
-        members = order[g0 : int(np.argmax(~group[g0:])) + g0] if (~group[g0:]).any() else order[g0:]
-        gw = widths[members].sum()
-        if gw > 0:
-            fill[members] = widths[members] * (budget / gw)
-    q = np.minimum(fill.reshape(K, L).sum(axis=1), 1.0)
-    _fold_residual(q, T)
-    if float(bank.s(q).sum()) >= float(bank.s(p).sum()):
-        return q
+    fill[order[:g0]] = widths[order[:g0]]
+
+    # Users left at 0 whose S_k jumps there take a sliver of the marginal
+    # group's budget on their last segment.
+    filled = np.zeros(K, dtype=bool)
+    filled[order[: g0 + members.size] // L] = True
+    owed = np.flatnonzero(~filled & (bank.rates[:, L] >= TAIL_EPSILON))
+    if owed.size:
+        sliver = min(P_SLIVER, budget / (2 * owed.size))
+        fill[owed * L + L - 1] = sliver
+        budget -= sliver * owed.size
+    fill[members] = widths[members] * (budget / widths[members].sum())
+    p = np.minimum(fill.reshape(K, L).sum(axis=1), 1.0)
+    _fold_residual(p, T)
     return p
 
 
-def optimize_pilot_length(
-    cfg: SystemConfig,
-    users,
-    tables,
-    settings: OptimizerSettings | None = None,
-):
+def optimize_pilot_length(cfg: SystemConfig, users, tables):
     """Search the pilot length: solve the frequency problem for every
-    integer T in [0, min(K, C)] and keep the best unsmoothed objective.
+    integer T in [0, min(K, C)] and keep the best objective.
 
     Returns (best_T, best allocation, full per-T curve).  Ties go to the
     smaller T.
     """
     t_hi = min(len(tables), cfg.C)
-    curve = [
-        optimize_frequencies(cfg, users, tables, T, settings)
-        for T in range(t_hi + 1)
-    ]
+    curve = [optimize_frequencies(cfg, users, tables, T) for T in range(t_hi + 1)]
     best_T = 0
     for T, alloc in enumerate(curve):
         if alloc.objective > curve[best_T].objective:

@@ -10,8 +10,9 @@ temporal correlation rho**(2n).  This module provides:
   G(n) = R(0) + ... + R(n-1),
 * the piecewise-linear extension of G to real arguments and the per-user
   rate S(p) = p * G(1/p) attained by a quasi-periodic updating interval,
-* a parabola-smoothed, differentiable version of G (and the derivative of
-  the smoothed S) used by the gradient-projection optimizer.
+* a parabola-smoothed, differentiable version of G and S, the paper's
+  surrogate for gradient methods (the optimizer solves the unsmoothed
+  problem exactly and does not use it).
 
 All functions are pure and all containers are frozen after construction, so
 everything here is safe to evaluate concurrently.
@@ -218,20 +219,6 @@ def s_of_p(table: RateTable, p):
     return out if out.ndim else float(out)
 
 
-def _check_delta(delta: float):
-    if not 0.0 < delta < 0.5:
-        raise ValueError("smoothing width delta must lie in (0, 1/2)")
-
-
-def _window_center(x, delta):
-    # Nearest integer if within delta of it; 0 marks "no window" (windows
-    # exist only around positive integers).
-    f = np.floor(x)
-    r = x - f
-    m = np.where(r < delta, f, np.where(r > 1.0 - delta, f + 1.0, 0.0))
-    return np.where(m >= 1.0, m, 0.0)
-
-
 def g_smoothed(table: RateTable, x, delta: float = DEFAULT_DELTA):
     """Differentiable approximation of g_extended.
 
@@ -239,37 +226,23 @@ def g_smoothed(table: RateTable, x, delta: float = DEFAULT_DELTA):
     the kink is replaced by the parabola that matches value and slope at the
     window ends; elsewhere the function equals g_extended exactly.
     """
-    _check_delta(delta)
+    if not 0.0 < delta < 0.5:
+        raise ValueError("smoothing width delta must lie in (0, 1/2)")
     x = _check_x(x)
-    m = _window_center(x, delta)
+    # Window center: the nearest integer if within delta of it; 0 marks "no
+    # window" (windows exist only around positive integers).
+    f = np.floor(x)
+    r = x - f
+    m = np.where(r < delta, f, np.where(r > 1.0 - delta, f + 1.0, 0.0))
     inwin = m >= 1.0
     mi = np.minimum(m.astype(np.intp), table.n_max)
     mi_prev = np.minimum(np.maximum(m.astype(np.intp) - 1, 0), table.n_max)
     rn = table.rates[mi]
     rp = table.rates[mi_prev]
     t = x - m
-    gm = table.prefix[np.minimum(m.astype(np.intp), table.n_max)] + (
-        m - np.minimum(m, float(table.n_max))
-    ) * table.rates[-1]
+    gm = table.prefix[mi] + (m - np.minimum(m, float(table.n_max))) * table.rates[-1]
     parab = (rn - rp) / (4.0 * delta) * t * t + 0.5 * (rn + rp) * t + gm + delta * (rn - rp) / 4.0
     out = np.where(inwin, parab, g_extended(table, x))
-    return out if out.ndim else float(out)
-
-
-def g_smoothed_prime(table: RateTable, x, delta: float = DEFAULT_DELTA):
-    """Derivative of g_smoothed: linear ramps inside the windows, the
-    piecewise-constant slope R(floor(x)) outside."""
-    _check_delta(delta)
-    x = _check_x(x)
-    m = _window_center(x, delta)
-    inwin = m >= 1.0
-    mi = np.minimum(m.astype(np.intp), table.n_max)
-    mi_prev = np.minimum(np.maximum(m.astype(np.intp) - 1, 0), table.n_max)
-    rn = table.rates[mi]
-    rp = table.rates[mi_prev]
-    ramp = (rn - rp) / (2.0 * delta) * (x - m) + 0.5 * (rn + rp)
-    flat = table.rates[np.minimum(np.floor(x).astype(np.intp), table.n_max)]
-    out = np.where(inwin, ramp, flat)
     return out if out.ndim else float(out)
 
 
@@ -282,23 +255,13 @@ def s_smoothed(table: RateTable, p, delta: float = DEFAULT_DELTA):
     return out if out.ndim else float(out)
 
 
-def s_smoothed_prime(table: RateTable, p, delta: float = DEFAULT_DELTA):
-    """Derivative of the smoothed S: g_smoothed(1/p) - g_smoothed'(1/p)/p."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or np.any(p > 1):
-        raise ValueError("updating frequency must lie in (0, 1]")
-    x = 1.0 / p
-    out = g_smoothed(table, x, delta) - x * g_smoothed_prime(table, x, delta)
-    return out if out.ndim else float(out)
-
-
 class RateTableBank:
     """Stacked rate tables of a whole user set for vectorized evaluation.
 
     Pads every user's rate sequence with its own tail value to a common
     length, which reproduces the constant-slope tail extension exactly.  The
     per-user methods evaluate one frequency (or age) per user in a single
-    pass; the optimizer calls these once per gradient step.
+    pass.
     """
 
     def __init__(self, tables: Sequence[RateTable]):
@@ -328,61 +291,9 @@ class RateTableBank:
         n = np.minimum(np.floor(x).astype(np.intp), self.L)
         return self.prefix[self._rows, n] + (x - n) * self.rates[self._rows, n]
 
-    def g_hat(self, x, delta: float = DEFAULT_DELTA):
-        m = _window_center(x, delta)
-        mi = np.minimum(m.astype(np.intp), self.L)
-        mp = np.minimum(np.maximum(m.astype(np.intp) - 1, 0), self.L)
-        rn = self.rates[self._rows, mi]
-        rp = self.rates[self._rows, mp]
-        t = x - m
-        gm = self._g_lin(np.where(m >= 1.0, m, 0.0))
-        parab = (rn - rp) / (4.0 * delta) * t * t + 0.5 * (rn + rp) * t + gm + delta * (rn - rp) / 4.0
-        return np.where(m >= 1.0, parab, self._g_lin(x))
-
-    def g_hat_prime(self, x, delta: float = DEFAULT_DELTA):
-        m = _window_center(x, delta)
-        mi = np.minimum(m.astype(np.intp), self.L)
-        mp = np.minimum(np.maximum(m.astype(np.intp) - 1, 0), self.L)
-        rn = self.rates[self._rows, mi]
-        rp = self.rates[self._rows, mp]
-        ramp = (rn - rp) / (2.0 * delta) * (x - m) + 0.5 * (rn + rp)
-        flat = self.rates[self._rows, np.minimum(np.floor(x).astype(np.intp), self.L)]
-        return np.where(m >= 1.0, ramp, flat)
-
     def s(self, p: np.ndarray) -> np.ndarray:
         """Unsmoothed S_k(p_k) per user; p_k = 0 contributes 0."""
         p = np.asarray(p, dtype=float)
         pos = p > 0
         x = 1.0 / np.where(pos, p, 1.0)
         return np.where(pos, p * self._g_lin(x), 0.0)
-
-    def s_hat(self, p: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        pos = p > 0
-        x = 1.0 / np.where(pos, p, 1.0)
-        return np.where(pos, p * self.g_hat(x, delta), 0.0)
-
-    def s_hat_prime(self, p: np.ndarray, delta: float = DEFAULT_DELTA) -> np.ndarray:
-        # fused g_hat / g_hat_prime evaluation: one window pass per call
-        p = np.asarray(p, dtype=float)
-        x = 1.0 / p
-        m = _window_center(x, delta)
-        inwin = m >= 1.0
-        mi = np.minimum(m.astype(np.intp), self.L)
-        mp = np.minimum(np.maximum(m.astype(np.intp) - 1, 0), self.L)
-        rn = self.rates[self._rows, mi]
-        rp = self.rates[self._rows, mp]
-        t = x - m
-        half = 0.5 * (rn + rp)
-        dr = rn - rp
-        g_here = np.where(
-            inwin,
-            dr / (4.0 * delta) * t * t + half * t + self._g_lin(np.where(inwin, m, 0.0)) + delta * dr / 4.0,
-            self._g_lin(x),
-        )
-        slope = np.where(
-            inwin,
-            dr / (2.0 * delta) * t + half,
-            self.rates[self._rows, np.minimum(np.floor(x).astype(np.intp), self.L)],
-        )
-        return g_here - x * slope

@@ -89,6 +89,10 @@ def build_schedule(p, T: int, horizon: int, seed=None) -> Schedule:
         raise ValueError("pilot length must be nonnegative")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"frequency {float(p[k])} of user {k} is not in [0, 1]")
     if abs(p.sum() - T) > 0.5:
         raise ValueError("sum of frequencies must be within 0.5 of T")
     if seed is None:

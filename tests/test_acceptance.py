@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The Monte Carlo and sweep
-criteria are the slow part (several minutes total); everything is seeded and
+Run with `pytest tests/test_acceptance.py -v -s`.  The Monte Carlo criteria
+are the slow part (several minutes total); everything is seeded and
 deterministic.
 """
 
@@ -12,7 +12,6 @@ import pytest
 from oracles import brute_force_interval_value, projection_oracle
 
 from csisched.optimizer import (
-    OptimizerSettings,
     optimize_frequencies,
     optimize_pilot_length,
     project_capped_simplex,
@@ -31,11 +30,6 @@ from csisched.scheduler import build_schedule, exact_average_rate
 from csisched.simulator import validate_closed_form
 
 SNR_10_DB = 10.0  # linear
-
-# The exact refinement fixes the returned allocation independently of the
-# gradient stage's stopping point, so the sweep criteria use a lighter
-# convergence threshold purely for runtime.
-SWEEP_SETTINGS = OptimizerSettings(tol=1e-6)
 
 
 def report(criterion, ok, detail):
@@ -84,7 +78,7 @@ def test_criterion_03_pilot_length_gain():
     for seed in range(20):
         users = reference_users(seed)
         tables = build_rate_tables(cfg, users)
-        _, best, curve = optimize_pilot_length(cfg, users, tables, SWEEP_SETTINGS)
+        _, best, curve = optimize_pilot_length(cfg, users, tables)
         ratios.append(best.objective / curve[40].objective)
     elapsed = time.time() - t0
     mean_ratio = float(np.mean(ratios))
@@ -108,7 +102,7 @@ def test_criterion_04_user_count_sweep():
             users = reference_users(seed * 101 + K, K=K)
             cfg = SystemConfig(K=K, **cfg_base)
             tables = build_rate_tables(cfg, users)
-            _, best, curve = optimize_pilot_length(cfg, users, tables, SWEEP_SETTINGS)
+            _, best, curve = optimize_pilot_length(cfg, users, tables)
             curve_over_k.append(best.objective)
             if K == 50:
                 ces_at_50.append(curve[50].objective)
@@ -145,10 +139,10 @@ def test_criterion_05_correlation_thresholds():
         for precoder in (MF, ZF):
             cfg = SystemConfig(M=64, K=40, C=50, precoder=precoder)
             tables = build_rate_tables(cfg, users)
-            alloc = optimize_frequencies(cfg, users, tables, k_scarce, SWEEP_SETTINGS)
+            alloc = optimize_frequencies(cfg, users, tables, k_scarce)
             thr, closed = _zero_threshold(users, alloc.p)
             thresholds[precoder] = (thr, closed)
-            alloc30 = optimize_frequencies(cfg, users, tables, k_ample, SWEEP_SETTINGS)
+            alloc30 = optimize_frequencies(cfg, users, tables, k_ample)
             lowest = int(np.argmin([u.rho for u in users]))
             ample_ok = ample_ok and alloc30.p[lowest] >= 1.0 - 1e-6
         thr_mf, closed_mf = thresholds[MF]
@@ -238,7 +232,7 @@ def test_criterion_09_schedule_fidelity():
     cfg = SystemConfig(M=64, K=40, C=50, precoder=ZF)
     users = reference_users(42)
     tables = build_rate_tables(cfg, users)
-    best_T, best, _ = optimize_pilot_length(cfg, users, tables, SWEEP_SETTINGS)
+    best_T, best, _ = optimize_pilot_length(cfg, users, tables)
     schedule = build_schedule(best.p, best_T, 10_000, seed=7)
     counts = {len(set(row.tolist())) for row in schedule.assignments}
     stats = exact_average_rate(schedule, cfg, users, tables)

@@ -42,9 +42,17 @@ class TestScenario:
     def test_load_overrides_and_defaults(self, scenario_file):
         sc = load_scenario(scenario_file)
         assert sc.K == 6 and sc.M == 64 and sc.seed == 3
-        assert sc.delta == 0.05 and sc.tol == 1e-9
+        assert sc.horizon == 400 and sc.rho_lo == 0.6
         sc2 = load_scenario(scenario_file, seed=99)
         assert sc2.seed == 99
+
+    def test_retired_solver_keys_load_and_are_ignored(self, scenario_file, tmp_path):
+        path = tmp_path / "old.txt"
+        path.write_text(SMALL_SCENARIO + "delta = 0.05\nstep_a = 0.1\nmax_iter = 50000\ntol = 1e-06\n")
+        assert load_scenario(path) == load_scenario(scenario_file)
+        path.write_text("max_iter = many\n")
+        with pytest.raises(ValueError):
+            load_scenario(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -209,6 +217,23 @@ class TestMain:
         assert code != 0
         err = capsys.readouterr().err
         assert err.startswith("csisched:") and err.count("\n") == 1
+
+    def test_zero_snr_scenario_runs(self, scenario_file, tmp_path, capsys):
+        # -4000 dB underflows every linear SNR to 0: all rates are 0.
+        path = tmp_path / "silent.txt"
+        path.write_text(scenario_file.read_text().replace("snr_db = 10", "snr_db = -4000"))
+        out = tmp_path / "pilot.csv"
+        argv = ["sweep-pilot", "--scenario", str(path), "--snr-db", "-4000", "--out", str(out)]
+        assert main(argv) == 0
+        rows = parse_sweep_csv(out.read_text()).rows
+        assert len(rows) == 2 * 7
+        assert all(r[3] == 0.0 and r[4] == (r[2] == 0) for r in rows)
+        sched = tmp_path / "sched.txt"
+        argv = ["schedule", "--scenario", str(path), "--pilot-length", "5", "--out", str(sched)]
+        assert main(argv) == 0
+        stats = parse_sweep_csv((tmp_path / "sched.txt.stats.csv").read_text())
+        assert all(r[2] == 5 / 6 and r[4] == 0.0 for r in stats.rows)
+        assert capsys.readouterr().err == ""
 
     def test_schedule_writes_files(self, scenario_file, tmp_path):
         out = tmp_path / "sched.txt"

@@ -1,19 +1,21 @@
-"""Optimizer tests: capped-simplex projection against a QP oracle, gradient
-projection against grid search, endpoint identities."""
+"""Optimizer tests: capped-simplex projection against a QP oracle, the
+water-fill against grid search, endpoint identities."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import grid_best_objective, projection_oracle
 
 from csisched.optimizer import (
     FrequencyAllocation,
-    OptimizerSettings,
     optimize_frequencies,
     optimize_pilot_length,
     project_capped_simplex,
 )
 from csisched.ratemodel import (
     MF,
+    N_MAX_HARD,
     ZF,
     RateTable,
     SystemConfig,
@@ -174,17 +176,64 @@ class TestOptimizeFrequencies:
             best = grid_best_objective(tables, T, cfg.C)
             assert alloc.objective == pytest.approx(best, abs=2e-3)
 
-    def test_monotone_ascent(self):
-        trace = []
-        optimize_frequencies(
-            self.cfg,
-            self.users,
-            self.tables,
-            2,
-            callback=lambda it, p, obj: trace.append(obj),
+    # Non-increasing rates in steps of 0.2, which make equal slopes across
+    # users common.  A table whose last rate is positive has a positive tail,
+    # as a table cut at the hard cap does, so its S_k jumps at p = 0.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 50), min_size=1, max_size=8),
+            min_size=2,
+            max_size=3,
         )
-        assert len(trace) > 0
-        assert np.all(np.diff(np.array(trace)) >= 0.0)
+    )
+    def test_matches_grid_oracle_property(self, draws):
+        tables = [make_table(sorted((i / 5 for i in d), reverse=True)) for d in draws]
+        K = len(tables)
+        cfg = SystemConfig(M=8, K=K, C=20, precoder=MF)
+        users = [UserLink(snr=1.0, rho=0.5)] * K
+        # Away from the jump S_k is steepest next to p = 0, where its slope
+        # is at most G_k(n_max + 1); the best grid point with every jumping
+        # user at p >= one step is at most 4 steps from the optimum in l1.
+        lipschitz = max(t.prefix[-1] for t in tables)
+        for T in range(1, K):
+            alloc = optimize_frequencies(cfg, users, tables, T)
+            assert abs(alloc.p.sum() - T) <= 1e-9
+            assert alloc.p.min() >= 0.0 and alloc.p.max() <= 1.0
+            best = grid_best_objective(tables, T, cfg.C)
+            assert alloc.objective >= best - 1e-9
+            assert alloc.objective <= best + (1 - T / cfg.C) * 4e-3 * lipschitz + 1e-9
+
+    @pytest.mark.parametrize(
+        "precoder,former", [(MF, 16.821686836076747), (ZF, 35.13684833758777)], ids=[MF, ZF]
+    )
+    def test_hard_cap_users_collect_their_tail_rate(self, precoder, former):
+        # rho = 1 tables are cut at the hard cap with R(n_max) = R(0) > 0, so
+        # S_k jumps to R(0) just above p = 0.  The former gradient solver
+        # reached ``former`` here by keeping those users at small positive p.
+        cfg = SystemConfig(M=64, K=6, C=50, precoder=precoder)
+        users = [UserLink(snr=10.0, rho=r) for r in (0.6, 0.8, 1.0, 0.7, 1.0, 0.9)]
+        tables = build_rate_tables(cfg, users)
+        assert tables[2].n_max == N_MAX_HARD and tables[2].rates[-1] > 0.0
+        alloc = optimize_frequencies(cfg, users, tables, 1)
+        assert alloc.objective >= former
+        assert 0.0 < alloc.p[2] <= 1e-12 and 0.0 < alloc.p[4] <= 1e-12
+        assert abs(alloc.p.sum() - 1.0) <= 1e-12
+        rates = [float(s_of_p(t, pk)) for t, pk in zip(tables, alloc.p)]
+        assert rates[2] == pytest.approx(tables[2].rates[0], rel=1e-12)
+        assert alloc.objective == pytest.approx((1 - 1 / 50) * sum(rates), rel=1e-12)
+
+    def test_zero_snr_users_get_uniform_split(self):
+        # Every rate table is R(0) = 0 alone (n_max = 0), so every S_k is
+        # constant for p > 0 and the uniform split is optimal.
+        cfg = SystemConfig(M=64, K=4, C=50, precoder=ZF)
+        users = [UserLink(snr=0.0, rho=r) for r in (0.6, 0.7, 0.8, 0.9)]
+        tables = build_rate_tables(cfg, users)
+        assert all(t.n_max == 0 for t in tables)
+        for T in (1, 2, 3):
+            alloc = optimize_frequencies(cfg, users, tables, T)
+            assert np.array_equal(alloc.p, np.full(4, T / 4))
+            assert alloc.objective == 0.0
 
     def test_feasible_output(self):
         rng = np.random.default_rng(3)
@@ -255,14 +304,6 @@ class TestOptimizePilotLength:
 
 
 class TestSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerSettings(delta=0.6)
-        with pytest.raises(ValueError):
-            OptimizerSettings(step_a=0.0)
-        with pytest.raises(ValueError):
-            OptimizerSettings(tol=-1.0)
-
     def test_allocation_fields(self):
         alloc = FrequencyAllocation(
             p=np.array([0.5, 0.5]), T=1, objective=1.0, iterations=3, converged=True

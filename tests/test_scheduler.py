@@ -1,5 +1,7 @@
 """Scheduler tests: interval law, credit scheduler, exact replay."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,13 @@ class TestBuildSchedule:
             build_schedule(np.array([0.5, 0.5]), 3, 10, seed=None)
         with pytest.raises(ValueError):
             build_schedule(np.array([0.1, 0.1]), 2, 10, seed=None)
+
+    def test_rejects_frequencies_outside_unit_interval(self):
+        # Each sum stays within the 0.5 tolerance of T, so only the
+        # per-user range check can reject them.
+        for p, k in (([1.4, 0.1, 0.0], 0), ([0.5, -0.2, 0.7], 1), ([0.5, 0.5, np.nan], 2)):
+            with pytest.raises(ValueError, match=re.escape(f"frequency {p[k]} of user {k} ")):
+                build_schedule(np.array(p), 1, 10, seed=None)
 
 
 class TestScheduleStats:
