@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class Scenario:
     rho_hi: float = 0.9
     seed: int = 1
     horizon: int = 10_000
-    users: list[UserLink] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho_lo <= self.rho_hi <= 1.0:
@@ -82,11 +81,8 @@ class Scenario:
         """Seeded user draw: rho uniform on [rho_lo, rho_hi], common SNR.
 
         The draw depends only on (seed, K), so all pilot lengths and both
-        precoders within a sweep see the same users.  An explicit user list
-        on the scenario takes precedence.
+        precoders within a sweep see the same users.
         """
-        if self.users is not None and K is None:
-            return list(self.users)
         K = self.K if K is None else K
         snr = db_to_linear(self.snr_db if snr_db is None else snr_db)
         rng = np.random.default_rng([self.seed, K])
@@ -99,9 +95,12 @@ class Scenario:
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:
-    """Parse a flat key = value scenario file; unknown keys are errors and
-    retired solver keys are type-checked, then ignored."""
-    values = {}
+    """Parse a flat key = value scenario file.
+
+    An unknown or repeated key or a value of the wrong type raises
+    ValueError naming path:line; retired solver keys are type-checked, then
+    ignored."""
+    values, seen = {}, set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -110,13 +109,19 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, raw = text.partition("=")
-            key = key.strip()
-            if key in _RETIRED_KEYS:
-                _RETIRED_KEYS[key](raw.strip())
-                continue
-            if key not in _SCENARIO_KEYS:
+            key, raw = key.strip(), raw.strip()
+            kind = _SCENARIO_KEYS.get(key) or _RETIRED_KEYS.get(key)
+            if kind is None:
                 raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
-            values[key] = _SCENARIO_KEYS[key](raw.strip())
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate scenario key {key!r}")
+            seen.add(key)
+            try:
+                value = kind(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
+            if key in _SCENARIO_KEYS:
+                values[key] = value
     if seed is not None:
         values["seed"] = seed
     return Scenario(**values)
@@ -135,7 +140,7 @@ class SweepResult:
             if len(row) != len(self.header):
                 raise ValueError("row length does not match header")
             for v in row:
-                if isinstance(v, (int, float)) and not np.isfinite(v):
+                if isinstance(v, float) and not np.isfinite(v):
                     raise ValueError("non-finite value in sweep output")
 
     def to_csv(self) -> str:

@@ -102,7 +102,7 @@ def sinr(cfg: SystemConfig, user: UserLink, interference_sum: float, n) -> float
     ``interference_sum`` is the sum of linear SNRs over all K users
     (including this one).  ``n`` may be a scalar or an integer array.
     """
-    n = np.asarray(n)
+    n = np.asarray(n, dtype=float)
     if np.any(n < 0):
         raise ValueError("age of CSI must be nonnegative")
     if interference_sum < 0:
@@ -259,9 +259,8 @@ class RateTableBank:
     """Stacked rate tables of a whole user set for vectorized evaluation.
 
     Pads every user's rate sequence with its own tail value to a common
-    length, which reproduces the constant-slope tail extension exactly.  The
-    per-user methods evaluate one frequency (or age) per user in a single
-    pass.
+    length, which reproduces the constant-slope tail extension exactly.
+    ``s`` evaluates one frequency per user in a single pass.
     """
 
     def __init__(self, tables: Sequence[RateTable]):
@@ -281,11 +280,6 @@ class RateTableBank:
             [np.zeros((self.K, 1)), np.cumsum(rates, axis=1)], axis=1
         )
         self._rows = np.arange(self.K)
-
-    def rate_at_age(self, ages: np.ndarray) -> np.ndarray:
-        """R_k(age_k) per user with the constant tail beyond each table."""
-        idx = np.minimum(np.asarray(ages, dtype=np.intp), self.L)
-        return self.rates[self._rows, idx]
 
     def _g_lin(self, x):
         n = np.minimum(np.floor(x).astype(np.intp), self.L)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import RateTableBank, SystemConfig
+from .ratemodel import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,9 @@ class Schedule:
         self.assignments = np.asarray(self.assignments, dtype=np.intp).reshape(
             self.horizon, self.T
         )
+        a = self.assignments
+        if a.size and (a.min() < 0 or a.max() >= self.num_users):
+            raise ValueError(f"user index outside [0, {self.num_users})")
 
 
 def build_schedule(p, T: int, horizon: int, seed=None) -> Schedule:
@@ -108,6 +111,32 @@ def build_schedule(p, T: int, horizon: int, seed=None) -> Schedule:
     return Schedule(horizon=horizon, T=T, num_users=K, assignments=assignments)
 
 
+def _per_user_pass(schedule: Schedule, tables=None):
+    """Per-user frequencies, interval histograms and replayed rate totals
+    (zero without ``tables``), computed one user at a time."""
+    K, H = schedule.num_users, schedule.horizon
+    freq = np.zeros(K)
+    totals = np.zeros(K)
+    hists: list[dict[int, float]] = []
+    for k in range(K):
+        est = (schedule.assignments == k).any(axis=1)
+        occ = np.flatnonzero(est)
+        freq[k] = occ.size / H
+        if tables is not None and occ.size:
+            blocks = np.arange(occ[0], H)
+            last = np.maximum.accumulate(np.where(est[occ[0]:], blocks, 0))
+            # cumsum adds in block order, as a block-by-block replay does;
+            # np.sum adds pairwise and can differ in the last bits.
+            totals[k] = np.cumsum(tables[k].rate_at_age(blocks - last))[-1]
+        gaps = np.diff(occ)
+        if gaps.size == 0:
+            hists.append({})
+            continue
+        values, gap_counts = np.unique(gaps, return_counts=True)
+        hists.append({int(v): c / gaps.size for v, c in zip(values, gap_counts)})
+    return freq, hists, totals
+
+
 def schedule_stats(schedule: Schedule):
     """Empirical per-user frequencies and updating-interval histograms.
 
@@ -115,21 +144,7 @@ def schedule_stats(schedule: Schedule):
     length to its fraction among user k's observed intervals (empty dict if
     the user was estimated fewer than twice).
     """
-    K = schedule.num_users
-    freq = np.zeros(K)
-    hists: list[dict[int, float]] = []
-    flat = schedule.assignments.ravel()
-    blocks = np.repeat(np.arange(schedule.horizon), schedule.T)
-    counts = np.bincount(flat, minlength=K)
-    freq = counts / schedule.horizon
-    for k in range(K):
-        occ = blocks[flat == k]
-        gaps = np.diff(occ)
-        if gaps.size == 0:
-            hists.append({})
-            continue
-        values, gap_counts = np.unique(gaps, return_counts=True)
-        hists.append({int(v): c / gaps.size for v, c in zip(values, gap_counts)})
+    freq, hists, _ = _per_user_pass(schedule)
     return freq, hists
 
 
@@ -149,28 +164,19 @@ class ScheduleStats:
 
 
 def exact_average_rate(schedule: Schedule, cfg: SystemConfig, users, tables) -> ScheduleStats:
-    """Walk a schedule block by block and average the exact aged-CSI rates.
+    """Replay a schedule user by user and average the exact aged-CSI rates.
 
     A user estimated in block i transmits at age 0 during that same block;
-    the age then grows by one per block until the next estimation.  Users
-    never estimated so far contribute zero rate (no CSI, no beamforming).
+    the age then grows by one per block until the next estimation.  Blocks
+    before a user's first estimation contribute zero rate (no CSI, no
+    beamforming).
     """
     K = schedule.num_users
     if len(users) != K or len(tables) != K:
         raise ValueError("schedule and user set sizes do not match")
-    bank = RateTableBank(tables)
-    age = np.zeros(K, dtype=np.intp)
-    seen = np.zeros(K, dtype=bool)
-    totals = np.zeros(K)
-    for i in range(schedule.horizon):
-        sel = schedule.assignments[i]
-        age[sel] = 0
-        seen[sel] = True
-        totals += np.where(seen, bank.rate_at_age(age), 0.0)
-        age += 1
+    freq, hists, totals = _per_user_pass(schedule, tables)
     per_user = totals / schedule.horizon
     discount = 1.0 - schedule.T / cfg.C
-    freq, hists = schedule_stats(schedule)
     return ScheduleStats(
         frequencies=freq,
         interval_histograms=hists,
@@ -188,20 +194,47 @@ def write_schedule(schedule: Schedule, path) -> None:
 
 
 def read_schedule(path, num_users: int | None = None) -> Schedule:
-    """Parse the line-per-block format written by write_schedule."""
-    rows = []
+    """Parse the line-per-block format written by write_schedule.
+
+    Line i (blank lines aside) must hold the block index i and then T
+    distinct user indices in [0, num_users); ``num_users`` defaults to one
+    more than the largest index.
+    """
+    rows, linenos = [], []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            rows.append([int(tok) for tok in parts[1:]])
+            try:
+                rows.append([int(tok) for tok in parts])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected integer indices") from None
+            linenos.append(lineno)
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: inconsistent pilots per block")
     if not rows:
         raise ValueError("empty schedule file")
-    T = len(rows[0])
-    if any(len(r) != T for r in rows):
-        raise ValueError("inconsistent pilots per block")
-    assignments = np.array(rows, dtype=np.intp).reshape(len(rows), T)
+    try:
+        table = np.array(rows, dtype=np.intp)
+    except OverflowError:
+        raise ValueError(f"{path}: index out of range") from None
+    assignments = table[:, 1:]
     if num_users is None:
         num_users = int(assignments.max()) + 1 if assignments.size else 0
-    return Schedule(horizon=len(rows), T=T, num_users=num_users, assignments=assignments)
+    H = len(rows)
+    ordered = np.sort(assignments, axis=1)
+    checks = (
+        (table[:, 0] != np.arange(H), f"block indices must run 0..{H - 1} in order"),
+        ((assignments < 0) | (assignments >= num_users), f"user index outside [0, {num_users})"),
+        (ordered[:, 1:] == ordered[:, :-1], "user repeated within the block"),
+    )
+    bad_rows = []
+    for bad, what in checks:
+        hit = np.flatnonzero(bad.reshape(H, -1).any(axis=1))
+        if hit.size:
+            bad_rows.append((int(hit[0]), what))
+    if bad_rows:
+        i, what = min(bad_rows)
+        raise ValueError(f"{path}:{linenos[i]}: {what}")
+    return Schedule(horizon=H, T=assignments.shape[1], num_users=num_users, assignments=assignments)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: the projection oracle
 enumerates pin patterns, the interval oracle scans explicit distributions,
-and the grid oracle exhausts the feasible simplex.
+the grid oracle exhausts the feasible simplex, and the replay oracle walks a
+schedule block by block.
 """
 
 import itertools
@@ -92,3 +93,38 @@ def grid_best_objective(tables, T, C, step=1e-3):
     vals = np.where(ok, s1[:, None] + s2[None, :], -np.inf)
     vals[ok] += s_of_p(tables[2], np.clip(p3[ok], 0, 1))
     return (1 - T / C) * float(vals.max())
+
+
+def block_replay(schedule, tables):
+    """Replay a schedule one block at a time for all users at once.
+
+    Returns (frequencies, interval histograms, per-user average rates).  A
+    user estimated in block i has age 0 in that block and one more per block
+    after it; before its first estimation it adds zero rate.  Each user's
+    total adds the blocks' rates in block order, starting from 0.0.
+    """
+    K, H, T = schedule.num_users, schedule.horizon, schedule.T
+    L = max(t.n_max for t in tables)
+    padded = np.empty((K, L + 1))
+    for k, t in enumerate(tables):
+        padded[k, : t.n_max + 1] = t.rates
+        padded[k, t.n_max + 1 :] = t.rates[-1]
+    rows = np.arange(K)
+    age = np.zeros(K, dtype=np.intp)
+    seen = np.zeros(K, dtype=bool)
+    totals = np.zeros(K)
+    for i in range(H):
+        sel = schedule.assignments[i]
+        age[sel] = 0
+        seen[sel] = True
+        totals += np.where(seen, padded[rows, np.minimum(age, L)], 0.0)
+        age += 1
+    flat = schedule.assignments.ravel()
+    blocks = np.repeat(np.arange(H), T)
+    freq = np.bincount(flat, minlength=K) / H
+    hists = []
+    for k in range(K):
+        gaps = np.diff(blocks[flat == k])
+        values, counts = np.unique(gaps, return_counts=True)
+        hists.append({int(v): c / gaps.size for v, c in zip(values, counts)})
+    return freq, hists, totals / H

@@ -1,5 +1,7 @@
 """CLI tests: scenario parsing, sweeps, CSV round trips, exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ class TestScenario:
         assert load_scenario(path) == load_scenario(scenario_file)
         path.write_text("max_iter = many\n")
         with pytest.raises(ValueError):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key", ["K", "snr_db", "max_iter", "tol"])
+    def test_bad_literal_names_line_and_key(self, tmp_path, key):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"M = 64\n{key} = many\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: .*'many'.*'{key}'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key, value", [("K", "30"), ("tol", "1e-6")])
+    def test_duplicate_key_rejected(self, tmp_path, key, value):
+        path = tmp_path / "dup.txt"
+        path.write_text(f"{key} = {value}\nM = 64\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: duplicate .*'{key}'"):
             load_scenario(path)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -187,15 +203,37 @@ class TestCsv:
 
 
 class TestMain:
-    def test_rates_to_file_deterministic(self, scenario_file, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        args = ["rates", "--scenario", str(scenario_file), "--ages", "0,1,2"]
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        body1 = [l for l in out1.read_text().splitlines() if not l.startswith("#")]
-        assert body1[0] == "user,rho,age,rate"
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["rates", "--ages", "0,1,2"], "user,rho,age,rate"),
+            (["sweep-rho", "--pilot-lengths", "2,6"], "rho,p,T,precoder"),
+            (["sweep-pilot", "--snr-db", "0,10"], "snr_db,precoder,T,sum_rate,is_best"),
+            (["sweep-users", "--user-counts", "3,6"], "K,best_T,ies_rate,ces_rate"),
+            (["validate", "--ages", "0,2", "--trials", "300"],
+             "age,term,empirical,closed_form,rel_err,trials,seed"),
+            (["schedule", "--pilot-length", "3", "--horizon", "200"],
+             "user,rho,p_target,p_achieved,avg_rate,intervals"),
+        ],
+        ids=["rates", "sweep-rho", "sweep-pilot", "sweep-users", "validate", "schedule"],
+    )
+    def test_rates_to_file_deterministic(self, scenario_file, tmp_path, argv, header):
+        # Every subcommand run twice on the same scenario and seed writes
+        # the same bytes; schedule also writes its stats CSV.
+        outs = [tmp_path / "a.out", tmp_path / "b.out"]
+        for out in outs:
+            assert main(argv + ["--scenario", str(scenario_file), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        if argv[0] == "schedule":
+            outs = [out.with_name(out.name + ".stats.csv") for out in outs]
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+        body = [l for l in outs[0].read_text().splitlines() if not l.startswith("#")]
+        assert body[0] == header
+
+    def test_age_beyond_int64_exits_cleanly(self, scenario_file, capsys):
+        argv = ["rates", "--scenario", str(scenario_file), "--ages", "0,99999999999999999999"]
+        assert main(argv) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, scenario_file, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -122,6 +122,13 @@ class TestRateTable:
             second = np.diff(t.prefix, n=2)
             assert np.all(second <= 1e-15)
 
+    def test_rate_at_age_clamps_to_tail(self):
+        t = build_rate_table(MF_CFG, UserLink(snr=10, rho=0.3), 20.0)
+        ages = np.array([0, 2, t.n_max, t.n_max + 1, 10_000])
+        expect = t.rates[[0, 2, t.n_max, t.n_max, t.n_max]]
+        assert np.array_equal(t.rate_at_age(ages), expect)
+        assert t.rate_at_age(10_000) == t.rates[-1]
+
 
 class TestGExtended:
     def setup_method(self):
@@ -285,15 +292,6 @@ class TestRateTableBank:
             p = rng.uniform(1e-4, 1.0, len(users))
             s_ref = np.array([s_of_p(t, pk) for t, pk in zip(tables, p)])
             assert np.allclose(bank.s(p), s_ref, rtol=1e-12, atol=1e-12)
-
-    def test_rate_at_age_clamps_to_tail(self):
-        cfg = MF_CFG
-        users = [UserLink(snr=10, rho=0.3), UserLink(snr=10, rho=0.9)]
-        tables = [build_rate_table(cfg, u, 20.0) for u in users]
-        bank = RateTableBank(tables)
-        ages = np.array([10_000, 2])
-        expect = np.array([tables[0].rates[-1], tables[1].rates[2]])
-        assert np.allclose(bank.rate_at_age(ages), expect, rtol=0, atol=0)
 
 
 class TestValidation:

@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import block_replay
 
 from csisched.ratemodel import (
     MF,
@@ -14,6 +17,7 @@ from csisched.ratemodel import (
     s_of_p,
 )
 from csisched.scheduler import (
+    Schedule,
     build_schedule,
     exact_average_rate,
     interval_distribution,
@@ -243,6 +247,13 @@ class TestExactAverageRate:
             else:
                 assert stats.discounted_sum_rate == pytest.approx(first, rel=1e-12)
 
+    def test_rejects_user_index_outside_user_set(self):
+        # The replay reads only users 0..K-1, so an index outside would be
+        # dropped silently.
+        for rows in ([[0], [2]], [[-1], [0]]):
+            with pytest.raises(ValueError, match=re.escape("user index outside [0, 2)")):
+                Schedule(horizon=2, T=1, num_users=2, assignments=rows)
+
     def test_cold_start_contributes_zero(self):
         cfg = SystemConfig(M=64, K=2, C=50, precoder=MF)
         users = [UserLink(snr=10, rho=0.9), UserLink(snr=10, rho=0.9)]
@@ -255,6 +266,36 @@ class TestExactAverageRate:
         # user 1 idle during blocks 0-1, age 0 at block 2, age 1 at block 3
         r = tables[1].rates
         assert stats.per_user_rate[1] == pytest.approx((r[0] + r[1]) / 4, rel=1e-12)
+
+
+class TestPerUserReplay:
+    # Random schedules: each block estimates T distinct users drawn from an
+    # active subset, so users outside it are never estimated.  rho = 1 gives
+    # tables cut at the hard cap; rho = 0 gives one-age tables.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.8, 0.9, 0.99, 1.0]), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_matches_block_replay_property(self, rhos, data):
+        K = len(rhos)
+        T = data.draw(st.integers(0, K), label="T")
+        horizon = data.draw(st.integers(1, 500), label="horizon")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        precoder = data.draw(st.sampled_from([MF, ZF]), label="precoder")
+        cfg = SystemConfig(M=64, K=K, C=50, precoder=precoder)
+        users = [UserLink(snr=10.0, rho=r) for r in rhos]
+        tables = build_rate_tables(cfg, users)
+        active = rng.permutation(K)[: int(rng.integers(T, K + 1))]
+        rows = [np.sort(rng.permutation(active)[:T]) for _ in range(horizon)]
+        sched = Schedule(horizon=horizon, T=T, num_users=K, assignments=rows)
+        freq, hists, rates = block_replay(sched, tables)
+        stats = exact_average_rate(sched, cfg, users, tables)
+        assert np.array_equal(stats.per_user_rate, rates)
+        assert np.array_equal(stats.frequencies, freq)
+        assert stats.interval_histograms == hists
+        freq2, hists2 = schedule_stats(sched)
+        assert np.array_equal(freq2, freq) and hists2 == hists
 
 
 class TestSerialization:
@@ -280,3 +321,22 @@ class TestSerialization:
         path.write_text("0 1 2\n1 3\n")
         with pytest.raises(ValueError):
             read_schedule(path)
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [
+            ("0 1 2\n1 7 7\n5 0 1\n", 2, "user index outside [0, 3)"),
+            ("0 1 2\n1 -1 2\n", 2, "user index outside [0, 3)"),
+            ("0 1 2\n\n1 2 2\n", 3, "user repeated within the block"),
+            ("0 1 2\n1 0 2\n5 0 1\n", 3, "block indices must run 0..2 in order"),
+            ("1 1 2\n2 0 2\n", 1, "block indices must run 0..1 in order"),
+            ("0 1 2\n1 0 x\n", 2, "expected integer indices"),
+        ],
+        ids=["user-too-large", "user-negative", "user-repeated", "block-skipped",
+             "block-starts-at-1", "not-an-integer"],
+    )
+    def test_rejects_bad_rows_naming_the_line(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {what}")):
+            read_schedule(path, num_users=3)
