@@ -45,8 +45,22 @@ _SCENARIO_KEYS = {
 _RETIRED_KEYS = {"delta": float, "step_a": float, "max_iter": int, "tol": float}
 
 
+# Largest user set a scenario may draw.  Every command builds one rate table
+# per user in Python, and a T-search sorts all K * L table segments, so larger
+# sets take hours and gigabytes before any result.
+MAX_USERS = 100_000
+
+
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear value of an SNR in dB; ValueError naming snr_db if it is not
+    finite."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = float("inf")
+    if not np.isfinite(linear):
+        raise ValueError(f"snr_db={db!r} has no finite linear value")
+    return linear
 
 
 @dataclass
@@ -68,6 +82,7 @@ class Scenario:
             raise ValueError("need 0 <= rho_lo <= rho_hi <= 1")
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
+        db_to_linear(self.snr_db)
 
     def config(self, precoder: str | None = None, K: int | None = None) -> SystemConfig:
         return SystemConfig(
@@ -84,6 +99,8 @@ class Scenario:
         precoders within a sweep see the same users.
         """
         K = self.K if K is None else K
+        if not 1 <= K <= MAX_USERS:
+            raise ValueError(f"user count K={K} outside [1, {MAX_USERS}]")
         snr = db_to_linear(self.snr_db if snr_db is None else snr_db)
         rng = np.random.default_rng([self.seed, K])
         rhos = rng.uniform(self.rho_lo, self.rho_hi, size=K)
@@ -230,6 +247,8 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
 def cmd_sweep_pilot(scenario: Scenario, snr_db_list) -> SweepResult:
     """Discounted sum rate against pilot length per SNR and precoder; the
     per-curve argmax row is marked."""
+    for snr_db in snr_db_list:  # a bad SNR fails before any sweep runs
+        db_to_linear(snr_db)
     rows = []
     for snr_db in snr_db_list:
         users = scenario.draw_users(snr_db=snr_db)

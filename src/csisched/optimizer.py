@@ -6,7 +6,8 @@ linear, so a greedy fill of the users' segments in order of decreasing slope
 solves the problem exactly (Ibaraki & Katoh, Resource Allocation Problems,
 1988), up to a sliver for users whose S_k jumps at p = 0 (see
 optimize_frequencies).  An outer one-dimensional search picks the pilot
-length T.
+length T.  The fill order does not depend on T, so a private fill plan sorts
+the segments once per user set, and the search reads every T's cut from it.
 """
 
 from __future__ import annotations
@@ -115,83 +116,110 @@ def optimize_frequencies(cfg: SystemConfig, users, tables, T: int) -> FrequencyA
     p = 0.  That supremum is not attained, so a user the fill leaves at 0
     gets the sliver p_k = P_SLIVER instead, which collects the jump and
     costs the others at most P_SLIVER times the marginal slope.
+
+    Builds the fill plan of ``tables`` for this one T; optimize_pilot_length
+    reads every T from a single plan through the same code.
     """
-    K = len(tables)
-    if len(users) != K:
-        raise ValueError("users and tables must have matching length")
-    T = int(T)
-    if not 0 <= T <= K:
-        raise ValueError(f"pilot length T={T} outside [0, {K}]")
-    discount = 1.0 - T / cfg.C
-    bank = RateTableBank(tables)
-
-    if T == 0:
-        # No estimation, no coherent precoding: the zero allocation is forced.
-        return FrequencyAllocation(np.zeros(K), 0, 0.0, 0, True)
-    if T == K:
-        if K > cfg.C:
-            raise ValueError("T = K with K > C leaves no room for data")
-        p = np.ones(K)
-    elif bank.L == 0:
-        # Every table holds only R(0), so every S_k is constant for p > 0.
-        p = np.full(K, T / K)
-    else:
-        p = _water_fill(bank, T)
-    objective = discount * float(bank.s(p).sum())
-    return FrequencyAllocation(p, T, objective, 0, True)
-
-
-def _water_fill(bank: RateTableBank, T: int) -> np.ndarray:
-    """Greedy marginal allocation of the budget 0 < T < K over the users'
-    segments."""
-    K, L = bank.K, bank.L
-    m = np.arange(1, L + 1)
-    # Slope of S_k on p in [1/(m+1), 1/m] is G_k(m) - m R_k(m); the padded
-    # tail rows reproduce the constant tail slope automatically.  The last
-    # segment covers (0, 1/L], so each user's widths sum to 1.
-    slopes = (bank.prefix[:, 1 : L + 1] - m * bank.rates[:, 1 : L + 1]).ravel()
-    widths = 1.0 / m - 1.0 / (m + 1)
-    widths[-1] = 1.0 / L
-    widths = np.broadcast_to(widths, (K, L)).ravel()
-
-    order = np.argsort(-slopes, kind="stable")
-    cum = np.cumsum(widths[order])
-    cut = int(np.searchsorted(cum, T - 1e-12))
-    # The marginal group: the segments whose slope ties the cut's, which sit
-    # next to each other in the sorted order.  Its budget exceeds 1e-12.
-    tie = slopes[order[cut]]
-    g0 = int(np.count_nonzero(slopes > tie))
-    members = order[g0 : int(np.count_nonzero(slopes >= tie))]
-    budget = T - (cum[g0 - 1] if g0 > 0 else 0.0)
-    fill = np.zeros(K * L)
-    fill[order[:g0]] = widths[order[:g0]]
-
-    # Users left at 0 whose S_k jumps there take a sliver of the marginal
-    # group's budget on their last segment.
-    filled = np.zeros(K, dtype=bool)
-    filled[order[: g0 + members.size] // L] = True
-    owed = np.flatnonzero(~filled & (bank.rates[:, L] >= TAIL_EPSILON))
-    if owed.size:
-        sliver = min(P_SLIVER, budget / (2 * owed.size))
-        fill[owed * L + L - 1] = sliver
-        budget -= sliver * owed.size
-    fill[members] = widths[members] * (budget / widths[members].sum())
-    p = np.minimum(fill.reshape(K, L).sum(axis=1), 1.0)
-    _fold_residual(p, T)
-    return p
+    return _FillPlan(users, tables).allocation(cfg, T)
 
 
 def optimize_pilot_length(cfg: SystemConfig, users, tables):
     """Search the pilot length: solve the frequency problem for every
     integer T in [0, min(K, C)] and keep the best objective.
 
-    Returns (best_T, best allocation, full per-T curve).  Ties go to the
-    smaller T.
+    The segments' fill order does not depend on T, so one fill plan (one
+    sort of all K*L segment slopes) answers every T, and each T only places
+    its cut.  Returns (best_T, best allocation, full per-T curve).  Ties go
+    to the smaller T.
     """
+    plan = _FillPlan(users, tables)
     t_hi = min(len(tables), cfg.C)
-    curve = [optimize_frequencies(cfg, users, tables, T) for T in range(t_hi + 1)]
+    curve = [plan.allocation(cfg, T) for T in range(t_hi + 1)]
     best_T = 0
     for T, alloc in enumerate(curve):
         if alloc.objective > curve[best_T].objective:
             best_T = T
     return best_T, curve[best_T], curve
+
+
+class _FillPlan:
+    """The users' segments in fill order, shared by every pilot length.
+
+    On p in [1/(m+1), 1/m], S_k has slope G_k(m) - m R_k(m), m = 1..L; the
+    padded tail rows of the bank reproduce the constant tail slope, and the
+    last segment covers (0, 1/L], so each user's widths sum to 1.  The plan
+    sorts the K*L slopes once (stably, so equal slopes keep user-major
+    order) and accumulates the sorted widths once; a budget T then only
+    needs its cut in that order.  ``rank`` is the inverse permutation, with
+    the bank's (K, L) shape.
+    """
+
+    def __init__(self, users, tables):
+        if len(users) != len(tables):
+            raise ValueError("users and tables must have matching length")
+        self.bank = bank = RateTableBank(tables)
+        K, L = bank.K, bank.L
+        if L == 0:
+            return
+        m = np.arange(1, L + 1)
+        self.slopes = (bank.prefix[:, 1 : L + 1] - m * bank.rates[:, 1 : L + 1]).ravel()
+        widths = 1.0 / m - 1.0 / (m + 1)
+        widths[-1] = 1.0 / L
+        self.widths = widths  # one row, broadcast over the K users
+        self.order = np.argsort(-self.slopes, kind="stable")
+        self.cum = np.cumsum(widths[self.order % L])
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(K * L)
+        self.rank = rank.reshape(K, L)
+
+    def allocation(self, cfg: SystemConfig, T: int) -> FrequencyAllocation:
+        """The optimal allocation at pilot length T, 0 <= T <= K."""
+        bank = self.bank
+        K = bank.K
+        T = int(T)
+        if not 0 <= T <= K:
+            raise ValueError(f"pilot length T={T} outside [0, {K}]")
+        if T == 0:
+            # No estimation, no coherent precoding: the zero allocation is forced.
+            return FrequencyAllocation(np.zeros(K), 0, 0.0, 0, True)
+        if T == K:
+            if K > cfg.C:
+                raise ValueError("T = K with K > C leaves no room for data")
+            p = np.ones(K)
+        elif bank.L == 0:
+            # Every table holds only R(0), so every S_k is constant for p > 0.
+            p = np.full(K, T / K)
+        else:
+            p = self._water_fill(T)
+        objective = (1.0 - T / cfg.C) * float(bank.s(p).sum())
+        return FrequencyAllocation(p, T, objective, 0, True)
+
+    def _water_fill(self, T: int) -> np.ndarray:
+        """Greedy marginal allocation of the budget 0 < T < K: every segment
+        ranked before the marginal group is filled whole."""
+        slopes, order, rank, widths = self.slopes, self.order, self.rank, self.widths
+        L = self.bank.L
+        cut = int(np.searchsorted(self.cum, T - 1e-12))
+        # The marginal group: the segments whose slope ties the cut's, which
+        # sit next to each other in the sorted order.  Its budget exceeds
+        # 1e-12.
+        tie = slopes[order[cut]]
+        g0 = int(np.count_nonzero(slopes > tie))
+        g1 = int(np.count_nonzero(slopes >= tie))
+        members = order[g0:g1]
+        budget = T - (self.cum[g0 - 1] if g0 > 0 else 0.0)
+        fill = np.where(rank < g0, widths, 0.0)
+
+        # Users left at 0 whose S_k jumps there take a sliver of the marginal
+        # group's budget on their last segment.
+        filled = (rank < g1).any(axis=1)
+        owed = np.flatnonzero(~filled & (self.bank.rates[:, L] >= TAIL_EPSILON))
+        if owed.size:
+            sliver = min(P_SLIVER, budget / (2 * owed.size))
+            fill[owed, L - 1] = sliver
+            budget -= sliver * owed.size
+        share = widths[members % L]
+        fill.reshape(-1)[members] = share * (budget / share.sum())
+        p = np.minimum(fill.sum(axis=1), 1.0)
+        _fold_residual(p, T)
+        return p

@@ -21,6 +21,12 @@ import numpy as np
 
 from .ratemodel import SystemConfig
 
+_WRITE_CHUNK = 4096  # blocks per write_schedule chunk
+
+# Most user indices a schedule may hold (horizon * T, at least one per
+# block): 2 GiB of assignments, and a per-block loop of that length.
+MAX_SCHEDULE_ENTRIES = 2**28
+
 
 @dataclass(frozen=True)
 class IntervalDistribution:
@@ -92,6 +98,10 @@ def build_schedule(p, T: int, horizon: int, seed=None) -> Schedule:
         raise ValueError("pilot length must be nonnegative")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if int(horizon) * max(T, 1) > MAX_SCHEDULE_ENTRIES:
+        raise ValueError(
+            f"horizon={horizon} at T={T} exceeds {MAX_SCHEDULE_ENTRIES} schedule entries"
+        )
     bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
     if bad.size:
         k = int(bad[0])
@@ -186,11 +196,17 @@ def exact_average_rate(schedule: Schedule, cfg: SystemConfig, users, tables) -> 
 
 
 def write_schedule(schedule: Schedule, path) -> None:
-    """Serialize as one line per block: block index, then the user indices."""
+    """Serialize as one line per block: block index, then the user indices.
+
+    Blocks are formatted _WRITE_CHUNK at a time, so the only copy of the
+    assignments is one chunk with its block indices.
+    """
+    line = " ".join(["%d"] * (schedule.T + 1)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        for i in range(schedule.horizon):
-            row = " ".join(str(int(u)) for u in schedule.assignments[i])
-            fh.write(f"{i} {row}".rstrip() + "\n")
+        for start in range(0, schedule.horizon, _WRITE_CHUNK):
+            rows = schedule.assignments[start : start + _WRITE_CHUNK]
+            chunk = np.column_stack((np.arange(start, start + len(rows)), rows))
+            fh.write("".join([line % tuple(r) for r in chunk.tolist()]))
 
 
 def read_schedule(path, num_users: int | None = None) -> Schedule:

@@ -22,6 +22,9 @@ from .ratemodel import MF, SystemConfig, UserLink, sinr, total_snr
 
 _BATCH = 256
 _COND_LIMIT = 1e12
+# Most trials one validation runs: about 400,000 batches and their seeds,
+# hours of work, where the acceptance checks use 100,000 trials.
+MAX_TRIALS = 10**8
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -157,8 +160,8 @@ def validate_closed_form(
     accumulate h^T v products.  Ill-conditioned ZF draws are resampled and
     counted.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials={trials} outside [1, {MAX_TRIALS}]")
     if not 0 <= user_index < len(users):
         raise ValueError("user_index out of range")
     K = cfg.K

@@ -2,15 +2,16 @@
 
 These deliberately avoid the library's own algorithms: the projection oracle
 enumerates pin patterns, the interval oracle scans explicit distributions,
-the grid oracle exhausts the feasible simplex, and the replay oracle walks a
-schedule block by block.
+the grid oracle exhausts the feasible simplex, the per-T water-fill sorts
+every budget's segments anew, and the replay oracle walks a schedule block by
+block.
 """
 
 import itertools
 
 import numpy as np
 
-from csisched.ratemodel import g_extended, s_of_p
+from csisched.ratemodel import TAIL_EPSILON, g_extended, s_of_p
 
 
 def projection_oracle(x, T):
@@ -95,6 +96,74 @@ def grid_best_objective(tables, T, C, step=1e-3):
     return (1 - T / C) * float(vals.max())
 
 
+def _padded(tables):
+    """Rate tables stacked to a common length, each padded with its tail."""
+    L = max(t.n_max for t in tables)
+    padded = np.empty((len(tables), L + 1))
+    for k, t in enumerate(tables):
+        padded[k, : t.n_max + 1] = t.rates
+        padded[k, t.n_max + 1 :] = t.rates[-1]
+    return padded
+
+
+def per_t_water_fill(tables, T, C):
+    """Optimal frequencies at one pilot length T by a greedy fill that sorts
+    the segments anew for this T.
+
+    Segment m = 1..L of user k covers p in [1/(m+1), 1/m] (the last one
+    (0, 1/L]) with slope G_k(m) - m R_k(m).  Segments are filled whole in
+    order of decreasing slope (a stable sort) up to the marginal equal-slope
+    group; a user left at 0 whose tail rate is at least TAIL_EPSILON gets the
+    sliver 2**-52 from the group's budget, and the group splits the rest in
+    proportion to width.  The last ulps of the sum go to the largest
+    interior p_k.  Returns (p, (1 - T/C) * sum_k S_k(p_k)).
+    """
+    K = len(tables)
+    rates = _padded(tables)
+    L = rates.shape[1] - 1
+    prefix = np.concatenate([np.zeros((K, 1)), np.cumsum(rates, axis=1)], axis=1)
+    if T == 0:
+        return np.zeros(K), 0.0
+    if T == K:
+        p = np.ones(K)
+    elif L == 0:
+        p = np.full(K, T / K)
+    else:
+        m = np.arange(1, L + 1)
+        slopes = (prefix[:, 1 : L + 1] - m * rates[:, 1 : L + 1]).ravel()
+        widths = 1.0 / m - 1.0 / (m + 1)
+        widths[-1] = 1.0 / L
+        widths = np.broadcast_to(widths, (K, L)).ravel()
+        order = np.argsort(-slopes, kind="stable")
+        cum = np.cumsum(widths[order])
+        tie = slopes[order[int(np.searchsorted(cum, T - 1e-12))]]
+        g0 = int(np.count_nonzero(slopes > tie))
+        members = order[g0 : int(np.count_nonzero(slopes >= tie))]
+        budget = T - (cum[g0 - 1] if g0 > 0 else 0.0)
+        fill = np.zeros(K * L)
+        fill[order[:g0]] = widths[order[:g0]]
+        filled = np.zeros(K, dtype=bool)
+        filled[order[: g0 + members.size] // L] = True
+        owed = np.flatnonzero(~filled & (rates[:, L] >= TAIL_EPSILON))
+        if owed.size:
+            sliver = min(2.0**-52, budget / (2 * owed.size))
+            fill[owed * L + L - 1] = sliver
+            budget -= sliver * owed.size
+        fill[members] = widths[members] * (budget / widths[members].sum())
+        p = np.minimum(fill.reshape(K, L).sum(axis=1), 1.0)
+        residual = T - p.sum()
+        interior = (p > 0.0) & (p < 1.0)
+        if residual != 0.0 and interior.any():
+            k = np.argmax(np.where(interior, p, -np.inf))
+            p[k] = min(max(p[k] + residual, 0.0), 1.0)
+    pos = p > 0
+    x = 1.0 / np.where(pos, p, 1.0)
+    n = np.minimum(np.floor(x).astype(np.intp), L)
+    rows = np.arange(K)
+    s = np.where(pos, p * (prefix[rows, n] + (x - n) * rates[rows, n]), 0.0)
+    return p, (1.0 - T / C) * float(s.sum())
+
+
 def block_replay(schedule, tables):
     """Replay a schedule one block at a time for all users at once.
 
@@ -104,11 +173,8 @@ def block_replay(schedule, tables):
     total adds the blocks' rates in block order, starting from 0.0.
     """
     K, H, T = schedule.num_users, schedule.horizon, schedule.T
-    L = max(t.n_max for t in tables)
-    padded = np.empty((K, L + 1))
-    for k, t in enumerate(tables):
-        padded[k, : t.n_max + 1] = t.rates
-        padded[k, t.n_max + 1 :] = t.rates[-1]
+    padded = _padded(tables)
+    L = padded.shape[1] - 1
     rows = np.arange(K)
     age = np.zeros(K, dtype=np.intp)
     seen = np.zeros(K, dtype=bool)

@@ -235,6 +235,58 @@ class TestMain:
         assert main(argv) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep-pilot", "--snr-db", "1e308"], "snr_db=1e+308"),
+            (["sweep-users", "--user-counts", "100000000000"], "user count K=100000000000"),
+            (["sweep-users", "--user-counts", "-3"], "user count K=-3"),
+            (["schedule", "--pilot-length", "2", "--horizon", "100000000000000"],
+             "horizon=100000000000000"),
+            (["validate", "--trials", "100000000000000000000"],
+             "trials=100000000000000000000"),
+        ],
+        ids=["snr-db", "user-count-huge", "user-count-negative", "horizon", "trials"],
+    )
+    def test_bad_sizes_are_rejected_before_any_allocation(
+        self, tmp_path, monkeypatch, capsys, argv, named
+    ):
+        # Guards turn a large user draw or seed spawn into a test failure
+        # instead of an allocation or a hang; the 1.6-PB schedule array of a
+        # 10**14 horizon is past any address space and fails at once.
+        real_rng, real_seeds = np.random.default_rng, np.random.SeedSequence
+
+        class GuardedRng:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def uniform(self, low, high, size):
+                assert size <= 1000, "user draw too large for a test"
+                return self._rng.uniform(low, high, size)
+
+        class GuardedSeeds(real_seeds):
+            def spawn(self, n_children):
+                assert n_children <= 4096, "seed spawn too large for a test"
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "default_rng", GuardedRng)
+        monkeypatch.setattr(np.random, "SeedSequence", GuardedSeeds)
+        path = tmp_path / "mf.txt"
+        path.write_text(SMALL_SCENARIO.replace("precoder = zf", "precoder = mf"))
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csisched:") and named in err and err.count("\n") == 1
+
+    def test_huge_snr_in_scenario_file_names_snr_db(self, tmp_path):
+        path = tmp_path / "loud.txt"
+        path.write_text(SMALL_SCENARIO.replace("snr_db = 10", "snr_db = 1e308"))
+        with pytest.raises(ValueError, match="snr_db=1e\\+308"):
+            load_scenario(path)
+
     def test_seed_override_changes_output(self, scenario_file, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

@@ -1,11 +1,12 @@
 """Optimizer tests: capped-simplex projection against a QP oracle, the
-water-fill against grid search, endpoint identities."""
+water-fill against grid search and against a per-T fill, endpoint
+identities."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_best_objective, projection_oracle
+from oracles import grid_best_objective, per_t_water_fill, projection_oracle
 
 from csisched.optimizer import (
     FrequencyAllocation,
@@ -20,6 +21,7 @@ from csisched.ratemodel import (
     RateTable,
     SystemConfig,
     UserLink,
+    build_rate_table,
     build_rate_tables,
     s_of_p,
 )
@@ -254,6 +256,15 @@ class TestOptimizeFrequencies:
 
 
 class TestOptimizePilotLength:
+    def test_rejects_mismatched_users(self):
+        cfg = SystemConfig(M=8, K=2, C=10, precoder=MF)
+        users = [UserLink(snr=5.0, rho=0.5)] * 2
+        tables = build_rate_tables(cfg, users)
+        with pytest.raises(ValueError, match="matching length"):
+            optimize_pilot_length(cfg, users[:1], tables)
+        with pytest.raises(ValueError, match="matching length"):
+            optimize_frequencies(cfg, users[:1], tables, 1)
+
     def test_single_persistent_user(self):
         cfg = SystemConfig(M=8, K=1, C=10, precoder=MF)
         users = [UserLink(snr=5.0, rho=1.0)]
@@ -301,6 +312,53 @@ class TestOptimizePilotLength:
         best_T, best, curve = optimize_pilot_length(cfg, users, tables)
         assert 0 < best_T < 40
         assert best.objective > curve[40].objective
+
+
+# Rate tables for the plan's property test: hand-built steps of 0.2 (equal
+# slopes within and across users; a positive last rate is a positive tail),
+# model tables of rho 0.6 and 0.9, a rho = 1 table cut at the hard cap, and
+# the all-zero table of a zero-SNR user (n_max = 0).
+_MODEL_CFG = SystemConfig(M=64, K=6, C=50, precoder=MF)
+_STEP_TABLE = st.lists(st.integers(0, 50), min_size=1, max_size=12).map(
+    lambda d: make_table(sorted((i / 5 for i in d), reverse=True))
+)
+_MODEL_TABLE = st.sampled_from([(10.0, 0.6), (10.0, 0.9), (10.0, 1.0), (0.0, 0.8)]).map(
+    lambda link: build_rate_table(_MODEL_CFG, UserLink(*link), 60.0)
+)
+
+
+class TestFillPlan:
+    # Picks index a pool of distinct tables, so users repeat and tie groups
+    # span users.  C = 3 caps the T-search below K for K > 3.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        pool=st.lists(st.one_of(_STEP_TABLE, _MODEL_TABLE), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        C=st.sampled_from([3, 50]),
+    )
+    @example(pool=[make_table([0.0])], picks=[0, 0, 0], C=50)
+    @example(pool=[make_table([2.0, 1.0, 1.0, 1.0, 0.0])], picks=[0, 0, 0, 0, 0, 0], C=50)
+    @example(
+        pool=[build_rate_table(_MODEL_CFG, UserLink(10.0, r), 60.0) for r in (0.6, 1.0, 0.9)],
+        picks=[0, 1, 2, 1, 0, 2],
+        C=50,
+    )
+    def test_matches_per_t_water_fill_property(self, pool, picks, C):
+        tables = [pool[i % len(pool)] for i in picks]
+        K = len(tables)
+        cfg = SystemConfig(M=64, K=K, C=C, precoder=MF)
+        users = [t.user for t in tables]
+        want = [per_t_water_fill(tables, T, C) for T in range(min(K, C) + 1)]
+        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+        assert [a.T for a in curve] == list(range(len(want)))
+        for T, (alloc, (p, objective)) in enumerate(zip(curve, want)):
+            single = optimize_frequencies(cfg, users, tables, T)
+            for got in (alloc, single):
+                assert np.array_equal(got.p, p)
+                assert got.objective == objective
+        # argmax keeps the first of equal objectives: ties go to the smaller T.
+        assert best_T == int(np.argmax([objective for _, objective in want]))
+        assert best is curve[best_T]
 
 
 class TestSettings:
