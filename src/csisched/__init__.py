@@ -7,7 +7,6 @@ from .ratemodel import (
     MF,
     ZF,
     RateTable,
-    RateTableBank,
     SystemConfig,
     UserLink,
     build_rate_table,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,18 +27,6 @@ from .ratemodel import (
 )
 from .scheduler import build_schedule, exact_average_rate, write_schedule
 from .simulator import validate_closed_form
-
-_SCENARIO_KEYS = {
-    "M": int,
-    "K": int,
-    "C": int,
-    "precoder": str,
-    "snr_db": float,
-    "rho_lo": float,
-    "rho_hi": float,
-    "seed": int,
-    "horizon": int,
-}
 
 # Solver knobs that existing scenario files may carry; the exact solver has
 # none, so they are parsed for type and otherwise ignored.
@@ -109,6 +97,10 @@ class Scenario:
     def metadata(self) -> str:
         keys = " ".join(f"{k}={getattr(self, k)}" for k in _SCENARIO_KEYS)
         return f"scenario: {keys}"
+
+
+# Scenario file keys and their types, in field order.
+_SCENARIO_KEYS = {f.name: type(f.default) for f in fields(Scenario)}
 
 
 def load_scenario(path, seed: int | None = None) -> Scenario:

@@ -6,8 +6,9 @@ linear, so a greedy fill of the users' segments in order of decreasing slope
 solves the problem exactly (Ibaraki & Katoh, Resource Allocation Problems,
 1988), up to a sliver for users whose S_k jumps at p = 0 (see
 optimize_frequencies).  An outer one-dimensional search picks the pilot
-length T.  The fill order does not depend on T, so a private fill plan sorts
-the segments once per user set, and the search reads every T's cut from it.
+length T.  The fill order does not depend on T, so a private fill plan stacks
+the users' rate tables, sorts the segments once per user set, and the search
+reads every T's cut from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import TAIL_EPSILON, RateTableBank, SystemConfig
+from .ratemodel import TAIL_EPSILON, SystemConfig
 
 # Frequency given to a user whose S_k jumps at p = 0 (a table cut at the hard
 # cap) when the fill would leave it at 0.  1/P_SLIVER = 2**52 is exact, and
@@ -145,24 +146,33 @@ def optimize_pilot_length(cfg: SystemConfig, users, tables):
 class _FillPlan:
     """The users' segments in fill order, shared by every pilot length.
 
-    On p in [1/(m+1), 1/m], S_k has slope G_k(m) - m R_k(m), m = 1..L; the
-    padded tail rows of the bank reproduce the constant tail slope, and the
-    last segment covers (0, 1/L], so each user's widths sum to 1.  The plan
-    sorts the K*L slopes once (stably, so equal slopes keep user-major
-    order) and accumulates the sorted widths once; a budget T then only
-    needs its cut in that order.  ``rank`` is the inverse permutation, with
-    the bank's (K, L) shape.
+    ``rates`` (K, L + 1) stacks the tables, L the largest n_max, each row
+    padded with its own tail rate, which reproduces g_extended's constant
+    tail slope; ``prefix`` holds the rows' G.  On p in [1/(m+1), 1/m], S_k
+    has slope G_k(m) - m R_k(m), m = 1..L, and the last segment covers
+    (0, 1/L], so each user's widths sum to 1.  The plan sorts the K*L slopes
+    once (stably, so equal slopes keep user-major order) and accumulates the
+    sorted widths once; a budget T then only needs its cut in that order.
+    ``rank`` is the inverse permutation, with shape (K, L).
     """
 
     def __init__(self, users, tables):
         if len(users) != len(tables):
             raise ValueError("users and tables must have matching length")
-        self.bank = bank = RateTableBank(tables)
-        K, L = bank.K, bank.L
+        if not tables:
+            raise ValueError("need at least one rate table")
+        self.K = K = len(tables)
+        self.L = L = max(t.n_max for t in tables)
+        rates = np.empty((K, L + 1))
+        for k, t in enumerate(tables):
+            rates[k, : t.n_max + 1] = t.rates
+            rates[k, t.n_max + 1 :] = t.rates[-1]
+        self.rates = rates
+        self.prefix = np.concatenate([np.zeros((K, 1)), np.cumsum(rates, axis=1)], axis=1)
         if L == 0:
             return
         m = np.arange(1, L + 1)
-        self.slopes = (bank.prefix[:, 1 : L + 1] - m * bank.rates[:, 1 : L + 1]).ravel()
+        self.slopes = (self.prefix[:, 1 : L + 1] - m * rates[:, 1 : L + 1]).ravel()
         widths = 1.0 / m - 1.0 / (m + 1)
         widths[-1] = 1.0 / L
         self.widths = widths  # one row, broadcast over the K users
@@ -174,8 +184,7 @@ class _FillPlan:
 
     def allocation(self, cfg: SystemConfig, T: int) -> FrequencyAllocation:
         """The optimal allocation at pilot length T, 0 <= T <= K."""
-        bank = self.bank
-        K = bank.K
+        K = self.K
         T = int(T)
         if not 0 <= T <= K:
             raise ValueError(f"pilot length T={T} outside [0, {K}]")
@@ -186,19 +195,19 @@ class _FillPlan:
             if K > cfg.C:
                 raise ValueError("T = K with K > C leaves no room for data")
             p = np.ones(K)
-        elif bank.L == 0:
+        elif self.L == 0:
             # Every table holds only R(0), so every S_k is constant for p > 0.
             p = np.full(K, T / K)
         else:
             p = self._water_fill(T)
-        objective = (1.0 - T / cfg.C) * float(bank.s(p).sum())
+        objective = (1.0 - T / cfg.C) * self._sum_rate(p)
         return FrequencyAllocation(p, T, objective, 0, True)
 
     def _water_fill(self, T: int) -> np.ndarray:
         """Greedy marginal allocation of the budget 0 < T < K: every segment
         ranked before the marginal group is filled whole."""
         slopes, order, rank, widths = self.slopes, self.order, self.rank, self.widths
-        L = self.bank.L
+        L = self.L
         cut = int(np.searchsorted(self.cum, T - 1e-12))
         # The marginal group: the segments whose slope ties the cut's, which
         # sit next to each other in the sorted order.  Its budget exceeds
@@ -213,7 +222,7 @@ class _FillPlan:
         # Users left at 0 whose S_k jumps there take a sliver of the marginal
         # group's budget on their last segment.
         filled = (rank < g1).any(axis=1)
-        owed = np.flatnonzero(~filled & (self.bank.rates[:, L] >= TAIL_EPSILON))
+        owed = np.flatnonzero(~filled & (self.rates[:, L] >= TAIL_EPSILON))
         if owed.size:
             sliver = min(P_SLIVER, budget / (2 * owed.size))
             fill[owed, L - 1] = sliver
@@ -223,3 +232,12 @@ class _FillPlan:
         p = np.minimum(fill.sum(axis=1), 1.0)
         _fold_residual(p, T)
         return p
+
+    def _sum_rate(self, p: np.ndarray) -> float:
+        """Sum over users of S_k(p_k) = p_k G_k(1/p_k); p_k = 0 contributes 0."""
+        pos = p > 0
+        x = 1.0 / np.where(pos, p, 1.0)
+        n = np.minimum(np.floor(x).astype(np.intp), self.L)
+        rows = np.arange(self.K)
+        g = self.prefix[rows, n] + (x - n) * self.rates[rows, n]
+        return float(np.where(pos, p * g, 0.0).sum())

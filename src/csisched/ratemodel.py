@@ -7,7 +7,8 @@ temporal correlation rho**(2n).  This module provides:
 * the closed-form SINR/rate for matched-filter (MF) and zero-forcing (ZF)
   precoding as a function of the age of CSI,
 * memoized per-user rate tables R(0), R(1), ... and their cumulative sums
-  G(n) = R(0) + ... + R(n-1),
+  G(n) = R(0) + ... + R(n-1), cut at the first rate below TAIL_EPSILON or
+  at N_MAX_HARD (the optimizer's fill plan stacks the tables of a user set),
 * the piecewise-linear extension of G to real arguments and the per-user
   rate S(p) = p * G(1/p) attained by a quasi-periodic updating interval,
 * a parabola-smoothed, differentiable version of G and S, the paper's
@@ -20,6 +21,7 @@ everything here is safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,12 +103,16 @@ def sinr(cfg: SystemConfig, user: UserLink, interference_sum: float, n) -> float
 
     ``interference_sum`` is the sum of linear SNRs over all K users
     (including this one).  ``n`` may be a scalar or an integer array.
+    Raises ValueError when the interference total or snr * M is not finite,
+    where the formula would give NaN.
     """
     n = np.asarray(n, dtype=float)
     if np.any(n < 0):
         raise ValueError("age of CSI must be nonnegative")
     if interference_sum < 0:
         raise ValueError("interference_sum must be nonnegative")
+    if not (math.isfinite(interference_sum) and math.isfinite(float(user.snr) * cfg.M)):
+        raise ValueError(f"snr={user.snr!r} with interference total {interference_sum!r} overflows")
     decay = user.rho ** (2.0 * n)
     if cfg.precoder == MF:
         out = user.snr * cfg.M * decay / (1.0 + interference_sum)
@@ -147,35 +153,23 @@ class RateTable:
         return self.rates[idx]
 
 
-def build_rate_table(
-    cfg: SystemConfig,
-    user: UserLink,
-    interference_sum: float,
-    tail_epsilon: float = TAIL_EPSILON,
-    n_max_hard: int = N_MAX_HARD,
-) -> RateTable:
+def build_rate_table(cfg: SystemConfig, user: UserLink, interference_sum: float) -> RateTable:
     """Tabulate R(0..n_max) and the prefix sums G(0..n_max+1) for one user.
 
-    The table ends at the first age whose rate drops below ``tail_epsilon``;
-    for rho = 1 the rates never decay and the hard cap applies.
+    The table ends at the first age whose rate drops below TAIL_EPSILON; a
+    channel that decays too slowly (rho = 1 never decays) is cut at
+    N_MAX_HARD.  The optimizer's sliver rule relies on these two constants.
     """
-    r0 = rate(cfg, user, interference_sum, 0)
-    if r0 < tail_epsilon:
-        rates = np.array([r0])
-    else:
-        # Geometric decay makes a doubling scan cheap; grow until the tail
-        # condition or the hard cap is hit.
-        rates = np.array([r0])
-        while rates[-1] >= tail_epsilon and len(rates) <= n_max_hard:
-            lo = len(rates)
-            hi = min(2 * lo, n_max_hard + 1)
-            block = rate(cfg, user, interference_sum, np.arange(lo, hi))
-            rates = np.concatenate([rates, np.atleast_1d(block)])
-            if hi == n_max_hard + 1:
-                break
-        below = np.nonzero(rates < tail_epsilon)[0]
-        n_max = int(below[0]) if below.size else n_max_hard
-        rates = rates[: n_max + 1]
+    # Geometric decay makes a doubling scan cheap.
+    rates = np.array([rate(cfg, user, interference_sum, 0)])
+    while rates[-1] >= TAIL_EPSILON and len(rates) <= N_MAX_HARD:
+        lo = len(rates)
+        hi = min(2 * lo, N_MAX_HARD + 1)
+        block = rate(cfg, user, interference_sum, np.arange(lo, hi))
+        rates = np.concatenate([rates, np.atleast_1d(block)])
+    below = np.nonzero(rates < TAIL_EPSILON)[0]
+    n_max = int(below[0]) if below.size else N_MAX_HARD
+    rates = rates[: n_max + 1]
     prefix = np.concatenate([[0.0], np.cumsum(rates)])
     rates.flags.writeable = False
     prefix.flags.writeable = False
@@ -240,7 +234,7 @@ def g_smoothed(table: RateTable, x, delta: float = DEFAULT_DELTA):
     rn = table.rates[mi]
     rp = table.rates[mi_prev]
     t = x - m
-    gm = table.prefix[mi] + (m - np.minimum(m, float(table.n_max))) * table.rates[-1]
+    gm = g_extended(table, m)
     parab = (rn - rp) / (4.0 * delta) * t * t + 0.5 * (rn + rp) * t + gm + delta * (rn - rp) / 4.0
     out = np.where(inwin, parab, g_extended(table, x))
     return out if out.ndim else float(out)
@@ -253,41 +247,3 @@ def s_smoothed(table: RateTable, p, delta: float = DEFAULT_DELTA):
         raise ValueError("updating frequency must lie in (0, 1]")
     out = p * g_smoothed(table, 1.0 / p, delta)
     return out if out.ndim else float(out)
-
-
-class RateTableBank:
-    """Stacked rate tables of a whole user set for vectorized evaluation.
-
-    Pads every user's rate sequence with its own tail value to a common
-    length, which reproduces the constant-slope tail extension exactly.
-    ``s`` evaluates one frequency per user in a single pass.
-    """
-
-    def __init__(self, tables: Sequence[RateTable]):
-        if not tables:
-            raise ValueError("need at least one rate table")
-        self.tables = list(tables)
-        self.K = len(tables)
-        self.n_max = np.array([t.n_max for t in tables], dtype=np.intp)
-        L = int(self.n_max.max())
-        self.L = L
-        rates = np.empty((self.K, L + 1))
-        for k, t in enumerate(tables):
-            rates[k, : t.n_max + 1] = t.rates
-            rates[k, t.n_max + 1 :] = t.rates[-1]
-        self.rates = rates
-        self.prefix = np.concatenate(
-            [np.zeros((self.K, 1)), np.cumsum(rates, axis=1)], axis=1
-        )
-        self._rows = np.arange(self.K)
-
-    def _g_lin(self, x):
-        n = np.minimum(np.floor(x).astype(np.intp), self.L)
-        return self.prefix[self._rows, n] + (x - n) * self.rates[self._rows, n]
-
-    def s(self, p: np.ndarray) -> np.ndarray:
-        """Unsmoothed S_k(p_k) per user; p_k = 0 contributes 0."""
-        p = np.asarray(p, dtype=float)
-        pos = p > 0
-        x = 1.0 / np.where(pos, p, 1.0)
-        return np.where(pos, p * self._g_lin(x), 0.0)

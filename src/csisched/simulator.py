@@ -170,14 +170,18 @@ def validate_closed_form(
     user = users[user_index]
     snrs = np.array([u.snr for u in users])
 
+    # The closed form first, so that an overflowing SNR fails before any trial.
+    sinr_cf = sinr(cfg, user, total_snr(users), n)
+
     sum_dot = 0.0 + 0.0j
     sum_abs2 = np.zeros(K)
     resamples = 0
     done = 0
-    seeds = np.random.SeedSequence(seed).spawn((trials + _BATCH - 1) // _BATCH)
-    for child in seeds:
+    root = np.random.SeedSequence(seed)
+    for _ in range((trials + _BATCH - 1) // _BATCH):
+        # one child per batch: the children of an up-front spawn, never all held
         batch = min(_BATCH, trials - done)
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(root.spawn(1)[0])
         s_dot, s_abs2, res = _batch_moments(cfg, users, n, user_index, rng, batch)
         sum_dot += s_dot
         sum_abs2 += s_abs2
@@ -203,7 +207,6 @@ def validate_closed_form(
         signal_cf = user.snr * (cfg.M - cfg.K) * decay
         variance_cf = user.snr * (1.0 - decay)
         interference_cf = (1.0 - decay) * interference_others
-    sinr_cf = sinr(cfg, user, total_snr(users), n)
 
     return MonteCarloReport(
         precoder=cfg.precoder,
@@ -237,7 +240,7 @@ def autocorrelation_check(rho: float, max_n: int, samples: int, seed: int) -> np
     out = np.empty(max_n + 1)
     out[0] = 1.0
     for lag in range(1, max_n + 1):
-        z = rho * z + np.sqrt(1.0 - rho * rho) * complex_gaussian(rng, samples)
+        z = evolve_channel(z, rho, 1, rng)
         num = np.real(np.vdot(z0, z))
         out[lag] = num / np.sqrt((np.abs(z0) ** 2).sum() * (np.abs(z) ** 2).sum())
     return out

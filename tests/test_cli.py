@@ -287,6 +287,27 @@ class TestMain:
         with pytest.raises(ValueError, match="snr_db=1e\\+308"):
             load_scenario(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates"],
+            ["sweep-pilot", "--snr-db", "3080"],
+            ["schedule", "--pilot-length", "2"],
+            ["validate", "--trials", "256"],
+        ],
+        ids=["rates", "sweep-pilot", "schedule", "validate"],
+    )
+    def test_overflowing_snr_names_snr(self, tmp_path, capsys, argv):
+        # 3080 dB is a finite 1e308 per user, but four users sum past the
+        # float range, where the SINR formulas give NaN.
+        path = tmp_path / "loud.txt"
+        path.write_text("M = 8\nK = 4\nprecoder = zf\nsnr_db = 3080\n")
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csisched:") and "snr" in err and err.count("\n") == 1
+
     def test_seed_override_changes_output(self, scenario_file, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

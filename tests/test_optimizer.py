@@ -247,6 +247,8 @@ class TestOptimizeFrequencies:
             assert abs(alloc.p.sum() - T) <= 1e-9
             assert alloc.p.min() >= 0.0 and alloc.p.max() <= 1.0
             assert alloc.converged
+            s_sum = sum(s_of_p(t, pk) for t, pk in zip(tables, alloc.p))
+            assert alloc.objective == pytest.approx((1 - T / cfg.C) * s_sum, rel=1e-12)
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):

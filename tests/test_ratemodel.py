@@ -6,12 +6,11 @@ from oracles import brute_force_interval_value
 
 from csisched.ratemodel import (
     MF,
+    N_MAX_HARD,
     ZF,
-    RateTableBank,
     SystemConfig,
     UserLink,
     build_rate_table,
-    build_rate_tables,
     g_extended,
     g_smoothed,
     rate,
@@ -60,6 +59,16 @@ class TestSinr:
         with pytest.raises(ValueError):
             sinr(MF_CFG, UserLink(snr=1, rho=0.5), 1.0, -1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_rejected_naming_snr(self):
+        loud = UserLink(snr=1e308, rho=0.9)
+        for cfg in (MF_CFG, ZF_CFG):
+            # an infinite interference total, and a finite one with snr * M
+            # past the float range
+            for isum in (float("inf"), 1e308):
+                with pytest.raises(ValueError, match="snr=1e\\+308"):
+                    sinr(cfg, loud, isum, np.arange(3))
+
     def test_monotone_in_age(self):
         rng = np.random.default_rng(7)
         ages = np.arange(51)
@@ -95,8 +104,8 @@ class TestRateTable:
         assert t.rates[1] == 0.0
 
     def test_rho_one_hits_hard_cap(self):
-        t = build_rate_table(MF_CFG, UserLink(snr=10, rho=1.0), 10.0, n_max_hard=512)
-        assert t.n_max == 512
+        t = build_rate_table(MF_CFG, UserLink(snr=10, rho=1.0), 10.0)
+        assert t.n_max == N_MAX_HARD
         assert np.all(t.rates == t.rates[0])
 
     def test_rates_match_pointwise_and_decrease(self):
@@ -264,7 +273,8 @@ class TestSmoothedS:
         assert slope == pytest.approx(expect, abs=1e-7)
 
     def test_constant_rate_user_has_zero_gradient(self):
-        t = build_rate_table(MF_CFG, UserLink(snr=10, rho=1.0), 10.0, n_max_hard=256)
+        t = build_rate_table(MF_CFG, UserLink(snr=10, rho=1.0), 10.0)
+        assert t.n_max == N_MAX_HARD
         ps = np.linspace(0.01, 1.0, 57)
         assert np.allclose(s_smoothed(t, ps, self.delta), t.rates[0], rtol=0, atol=1e-12)
 
@@ -279,19 +289,6 @@ class TestSmoothedS:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
             s_smoothed(self.t, 0.0, self.delta)
-
-
-class TestRateTableBank:
-    def test_matches_single_table_functions(self):
-        rng = np.random.default_rng(59)
-        cfg = ZF_CFG
-        users = [random_user(rng) for _ in range(12)]
-        tables = build_rate_tables(cfg, users)
-        bank = RateTableBank(tables)
-        for _ in range(20):
-            p = rng.uniform(1e-4, 1.0, len(users))
-            s_ref = np.array([s_of_p(t, pk) for t, pk in zip(tables, p)])
-            assert np.allclose(bank.s(p), s_ref, rtol=1e-12, atol=1e-12)
 
 
 class TestValidation:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from csisched import simulator
 from csisched.ratemodel import MF, ZF, SystemConfig, UserLink, sinr, total_snr
 from csisched.simulator import (
+    MAX_TRIALS,
     autocorrelation_check,
     complex_gaussian,
     evolve_channel,
@@ -185,3 +187,26 @@ class TestValidateClosedForm:
             validate_closed_form(cfg, users, 1, trials=0, seed=1)
         with pytest.raises(ValueError):
             validate_closed_form(cfg, users, 1, trials=10, seed=1, user_index=5)
+
+    def test_max_trials_spawns_one_seed_per_batch(self, monkeypatch):
+        # An up-front spawn at MAX_TRIALS makes about 400,000 seeds before
+        # the first batch; the guard turns that into a test failure.
+        real_seeds = np.random.SeedSequence
+
+        class GuardedSeeds(real_seeds):
+            def spawn(self, n_children):
+                assert n_children <= 4096, "seed spawn too large for a test"
+                return super().spawn(n_children)
+
+        class FirstBatch(Exception):
+            pass
+
+        def first_batch(*args):
+            raise FirstBatch
+
+        monkeypatch.setattr(np.random, "SeedSequence", GuardedSeeds)
+        monkeypatch.setattr(simulator, "_batch_moments", first_batch)
+        cfg = SystemConfig(M=16, K=2, C=50, precoder=MF)
+        users = [UserLink(snr=1.0, rho=0.9)] * 2
+        with pytest.raises(FirstBatch):
+            validate_closed_form(cfg, users, 1, trials=MAX_TRIALS, seed=1)
