@@ -26,7 +26,7 @@ def main():
         cfg = SystemConfig(M=M, K=K, C=C, precoder=precoder)
         tables = build_rate_tables(cfg, users)
         for T in PILOT_LENGTHS:
-            allocs[precoder, T] = optimize_frequencies(cfg, users, tables, T).p
+            allocs[precoder, T] = optimize_frequencies(cfg, tables, T).p
 
     for T in PILOT_LENGTHS:
         print(f"\npilot length T = {T}:")

@@ -26,7 +26,7 @@ def main():
         for precoder in ("mf", "zf"):
             cfg = SystemConfig(M=M, K=K, C=C, precoder=precoder)
             tables = build_rate_tables(cfg, users)
-            best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+            best_T, best, curve = optimize_pilot_length(cfg, tables)
             curves[precoder] = (best_T, best, curve)
         mf_curve = curves["mf"][2]
         zf_curve = curves["zf"][2]

@@ -25,7 +25,7 @@ def main():
                  for r in rng.uniform(0.6, 0.9, K)]
         cfg = SystemConfig(M=M, K=K, C=C, precoder="zf")
         tables = build_rate_tables(cfg, users)
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+        best_T, best, curve = optimize_pilot_length(cfg, tables)
         ces = curve[K].objective if K < C else 0.0
         ies.append(best.objective)
         print(f"  {K:3d}   {best_T:5d}   {best.objective:8.3f}   {ces:8.3f}")

@@ -84,15 +84,20 @@ class Scenario:
         """Seeded user draw: rho uniform on [rho_lo, rho_hi], common SNR.
 
         The draw depends only on (seed, K), so all pilot lengths and both
-        precoders within a sweep see the same users.
+        precoders within a sweep see the same users.  An SNR whose total or
+        snr * M overflows, where the rates would be NaN, raises ValueError.
         """
         K = self.K if K is None else K
         if not 1 <= K <= MAX_USERS:
             raise ValueError(f"user count K={K} outside [1, {MAX_USERS}]")
-        snr = db_to_linear(self.snr_db if snr_db is None else snr_db)
+        snr_db = self.snr_db if snr_db is None else snr_db
+        snr = db_to_linear(snr_db)
         rng = np.random.default_rng([self.seed, K])
         rhos = rng.uniform(self.rho_lo, self.rho_hi, size=K)
-        return [UserLink(snr=snr, rho=float(r)) for r in rhos]
+        users = [UserLink(snr=snr, rho=float(r)) for r in rhos]
+        if not (np.isfinite(total_snr(users)) and np.isfinite(snr * self.M)):
+            raise ValueError(f"snr_db={snr_db!r}: the SNR total of {K} users overflows")
+        return users
 
     def metadata(self) -> str:
         keys = " ".join(f"{k}={getattr(self, k)}" for k in _SCENARIO_KEYS)
@@ -225,7 +230,7 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
         cfg = scenario.config(precoder=precoder)
         tables = build_rate_tables(cfg, users)
         for T in t_values:
-            alloc = optimize_frequencies(cfg, users, tables, int(T))
+            alloc = optimize_frequencies(cfg, tables, int(T))
             order = np.argsort([u.rho for u in users], kind="stable")
             for k in order:
                 rows.append((users[k].rho, float(alloc.p[k]), int(T), precoder))
@@ -239,15 +244,14 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
 def cmd_sweep_pilot(scenario: Scenario, snr_db_list) -> SweepResult:
     """Discounted sum rate against pilot length per SNR and precoder; the
     per-curve argmax row is marked."""
-    for snr_db in snr_db_list:  # a bad SNR fails before any sweep runs
-        db_to_linear(snr_db)
+    # every draw first, so that a bad SNR fails before any sweep runs
+    user_sets = [scenario.draw_users(snr_db=snr_db) for snr_db in snr_db_list]
     rows = []
-    for snr_db in snr_db_list:
-        users = scenario.draw_users(snr_db=snr_db)
+    for snr_db, users in zip(snr_db_list, user_sets):
         for precoder in (MF, ZF):
             cfg = scenario.config(precoder=precoder)
             tables = build_rate_tables(cfg, users)
-            best_T, _, curve = optimize_pilot_length(cfg, users, tables)
+            best_T, _, curve = optimize_pilot_length(cfg, tables)
             for alloc in curve:
                 rows.append(
                     (float(snr_db), precoder, alloc.T, alloc.objective, alloc.T == best_T)
@@ -271,7 +275,7 @@ def cmd_sweep_users(scenario: Scenario, k_values) -> SweepResult:
         users = scenario.draw_users(K=K)
         cfg = scenario.config(K=K)
         tables = build_rate_tables(cfg, users)
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+        best_T, best, curve = optimize_pilot_length(cfg, tables)
         ces = curve[K].objective if K < scenario.C else 0.0
         rows.append((K, best_T, best.objective, ces))
     return SweepResult(
@@ -281,37 +285,35 @@ def cmd_sweep_users(scenario: Scenario, k_values) -> SweepResult:
     )
 
 
-def cmd_validate(scenario: Scenario, ages, trials: int, seed: int | None = None) -> SweepResult:
-    """Monte Carlo check of the closed-form SINR at each age."""
+def cmd_validate(scenario: Scenario, ages, trials: int) -> SweepResult:
+    """Monte Carlo check of user 0's closed-form SINR at each age."""
     cfg = scenario.config()
     users = scenario.draw_users()
-    seed = scenario.seed if seed is None else seed
     rows = []
     for n in ages:
-        report = validate_closed_form(cfg, users, int(n), trials, seed)
+        report = validate_closed_form(cfg, users, int(n), trials, scenario.seed)
         for term_row in report.rows():
             rows.append((int(n),) + term_row)
     return SweepResult(
         metadata=[
             scenario.metadata(),
-            f"command: validate ages={list(ages)} trials={trials} seed={seed}",
+            f"command: validate ages={list(ages)} trials={trials} seed={scenario.seed}",
         ],
         header=["age", "term", "empirical", "closed_form", "rel_err", "trials", "seed"],
         rows=rows,
     )
 
 
-def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None, seed: int | None = None):
+def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None):
     """Optimize frequencies at pilot length T, realize them as a per-block
     schedule and replay it; returns (schedule, stats table)."""
     cfg = scenario.config()
     users = scenario.draw_users()
     tables = build_rate_tables(cfg, users)
-    alloc = optimize_frequencies(cfg, users, tables, int(T))
+    alloc = optimize_frequencies(cfg, tables, int(T))
     horizon = scenario.horizon if horizon is None else int(horizon)
-    seed = scenario.seed if seed is None else seed
-    schedule = build_schedule(alloc.p, int(T), horizon, seed)
-    stats = exact_average_rate(schedule, cfg, users, tables)
+    schedule = build_schedule(alloc.p, int(T), horizon, scenario.seed)
+    stats = exact_average_rate(schedule, cfg, tables)
     rows = []
     for k, u in enumerate(users):
         hist = "|".join(
@@ -324,7 +326,7 @@ def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None, seed: i
     result = SweepResult(
         metadata=[
             scenario.metadata(),
-            f"command: schedule T={int(T)} horizon={horizon} seed={seed}",
+            f"command: schedule T={int(T)} horizon={horizon} seed={scenario.seed}",
             f"relaxed_objective: {repr(alloc.objective)}",
             f"achieved_rate: {repr(stats.discounted_sum_rate)}",
         ],
@@ -405,13 +407,11 @@ def main(argv=None) -> int:
         elif args.command == "sweep-users":
             result = cmd_sweep_users(scenario, args.user_counts)
         elif args.command == "validate":
-            result = cmd_validate(scenario, args.ages, args.trials, args.seed)
+            result = cmd_validate(scenario, args.ages, args.trials)
         elif args.command == "schedule":
             if args.out == "-":
                 raise ValueError("schedule command needs --out PATH for the schedule file")
-            schedule, result = cmd_schedule(
-                scenario, args.pilot_length, args.horizon, args.seed
-            )
+            schedule, result = cmd_schedule(scenario, args.pilot_length, args.horizon)
             write_schedule(schedule, args.out)
             stats_out = args.stats_out or args.out + ".stats.csv"
             _write_output(result.to_csv(), stats_out)

@@ -8,7 +8,8 @@ solves the problem exactly (Ibaraki & Katoh, Resource Allocation Problems,
 optimize_frequencies).  An outer one-dimensional search picks the pilot
 length T.  The fill order does not depend on T, so a private fill plan stacks
 the users' rate tables, sorts the segments once per user set, and the search
-reads every T's cut from it.
+reads every T's cut from it.  The rate tables are the user set: p[k] is the
+frequency of tables[k].user.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _fold_residual(p: np.ndarray, T: float) -> None:
             p[k] = min(max(p[k] + residual, 0.0), 1.0)
 
 
-def optimize_frequencies(cfg: SystemConfig, users, tables, T: int) -> FrequencyAllocation:
+def optimize_frequencies(cfg: SystemConfig, tables, T: int) -> FrequencyAllocation:
     """Optimal updating frequencies for a fixed pilot length T.
 
     Each S_k is concave and piecewise linear in p with breakpoints at
@@ -121,10 +122,10 @@ def optimize_frequencies(cfg: SystemConfig, users, tables, T: int) -> FrequencyA
     Builds the fill plan of ``tables`` for this one T; optimize_pilot_length
     reads every T from a single plan through the same code.
     """
-    return _FillPlan(users, tables).allocation(cfg, T)
+    return _FillPlan(tables).allocation(cfg, T)
 
 
-def optimize_pilot_length(cfg: SystemConfig, users, tables):
+def optimize_pilot_length(cfg: SystemConfig, tables):
     """Search the pilot length: solve the frequency problem for every
     integer T in [0, min(K, C)] and keep the best objective.
 
@@ -133,7 +134,7 @@ def optimize_pilot_length(cfg: SystemConfig, users, tables):
     its cut.  Returns (best_T, best allocation, full per-T curve).  Ties go
     to the smaller T.
     """
-    plan = _FillPlan(users, tables)
+    plan = _FillPlan(tables)
     t_hi = min(len(tables), cfg.C)
     curve = [plan.allocation(cfg, T) for T in range(t_hi + 1)]
     best_T = 0
@@ -156,9 +157,7 @@ class _FillPlan:
     ``rank`` is the inverse permutation, with shape (K, L).
     """
 
-    def __init__(self, users, tables):
-        if len(users) != len(tables):
-            raise ValueError("users and tables must have matching length")
+    def __init__(self, tables):
         if not tables:
             raise ValueError("need at least one rate table")
         self.K = K = len(tables)

@@ -30,9 +30,6 @@ import numpy as np
 MF = "mf"
 ZF = "zf"
 
-LOG_TWO = "two"
-LOG_NATURAL = "natural"
-
 # Rate table tail handling: the table stops at the first age whose rate drops
 # below TAIL_EPSILON (rate units), hard-capped for rho = 1 channels that never
 # decay.
@@ -50,24 +47,20 @@ class SystemConfig:
     M, K, C are the antenna count, user count and block length in channel
     uses.  ``precoder`` selects the linear precoding scheme ("mf" or "zf");
     ZF requires M > K or the Gram matrix of estimates is singular.
-    ``log_base`` picks bits ("two") or nats ("natural") per channel use.
+    Rates are in bits per channel use.
     """
 
     M: int
     K: int
     C: int
     precoder: str = ZF
-    log_base: str = LOG_TWO
 
     def __post_init__(self):
         object.__setattr__(self, "precoder", str(self.precoder).lower())
-        object.__setattr__(self, "log_base", str(self.log_base).lower())
         if self.M < 1 or self.K < 1 or self.C < 1:
             raise ValueError("M, K and C must all be positive")
         if self.precoder not in (MF, ZF):
             raise ValueError(f"unknown precoder {self.precoder!r}")
-        if self.log_base not in (LOG_TWO, LOG_NATURAL):
-            raise ValueError(f"unknown log base {self.log_base!r}")
         if self.precoder == ZF and self.M <= self.K:
             raise ValueError("zero forcing requires M > K")
 
@@ -125,10 +118,8 @@ def sinr(cfg: SystemConfig, user: UserLink, interference_sum: float, n) -> float
 
 
 def rate(cfg: SystemConfig, user: UserLink, interference_sum: float, n) -> float:
-    """Transmission rate log(1 + SINR) in the configured log base."""
-    g = np.log1p(sinr(cfg, user, interference_sum, n))
-    if cfg.log_base == LOG_TWO:
-        g = g / np.log(2.0)
+    """Transmission rate log2(1 + SINR) in bits per channel use."""
+    g = np.log1p(sinr(cfg, user, interference_sum, n)) / np.log(2.0)
     return g if np.ndim(g) else float(g)
 
 
@@ -177,7 +168,9 @@ def build_rate_table(cfg: SystemConfig, user: UserLink, interference_sum: float)
 
 
 def build_rate_tables(cfg: SystemConfig, users: Sequence[UserLink]) -> list[RateTable]:
-    """Rate tables for a whole user set, sharing one interference total."""
+    """Rate tables for a set of cfg.K users, sharing one interference total."""
+    if len(users) != cfg.K:
+        raise ValueError(f"{len(users)} users for a configuration of K={cfg.K}")
     isum = total_snr(users)
     return [build_rate_table(cfg, u, isum) for u in users]
 

@@ -64,20 +64,26 @@ def interval_distribution(p: float) -> IntervalDistribution:
 
 @dataclass
 class Schedule:
-    """Per-block pilot assignments: exactly T users estimated per block."""
+    """Per-block pilot assignments: a (horizon, T) array of user indices,
+    each row sorted, so exactly T users are estimated per block."""
 
-    horizon: int
-    T: int
     num_users: int
-    assignments: np.ndarray  # (horizon, T) user indices, each row sorted
+    assignments: np.ndarray
 
     def __post_init__(self):
-        self.assignments = np.asarray(self.assignments, dtype=np.intp).reshape(
-            self.horizon, self.T
-        )
-        a = self.assignments
+        a = self.assignments = np.asarray(self.assignments, dtype=np.intp)
+        if a.ndim != 2:
+            raise ValueError(f"assignments must be a (horizon, T) array, not {a.ndim}-D")
         if a.size and (a.min() < 0 or a.max() >= self.num_users):
             raise ValueError(f"user index outside [0, {self.num_users})")
+
+    @property
+    def horizon(self) -> int:
+        return self.assignments.shape[0]
+
+    @property
+    def T(self) -> int:
+        return self.assignments.shape[1]
 
 
 def build_schedule(p, T: int, horizon: int, seed=None) -> Schedule:
@@ -118,7 +124,7 @@ def build_schedule(p, T: int, horizon: int, seed=None) -> Schedule:
         chosen = np.argsort(-credit, kind="stable")[:T]
         credit[chosen] -= 1.0
         assignments[i] = np.sort(chosen)
-    return Schedule(horizon=horizon, T=T, num_users=K, assignments=assignments)
+    return Schedule(num_users=K, assignments=assignments)
 
 
 def _per_user_pass(schedule: Schedule, tables=None):
@@ -173,17 +179,17 @@ class ScheduleStats:
     discounted_sum_rate: float
 
 
-def exact_average_rate(schedule: Schedule, cfg: SystemConfig, users, tables) -> ScheduleStats:
+def exact_average_rate(schedule: Schedule, cfg: SystemConfig, tables) -> ScheduleStats:
     """Replay a schedule user by user and average the exact aged-CSI rates.
 
+    ``tables`` holds one rate table per user of the schedule, in user order.
     A user estimated in block i transmits at age 0 during that same block;
     the age then grows by one per block until the next estimation.  Blocks
     before a user's first estimation contribute zero rate (no CSI, no
     beamforming).
     """
-    K = schedule.num_users
-    if len(users) != K or len(tables) != K:
-        raise ValueError("schedule and user set sizes do not match")
+    if len(tables) != schedule.num_users:
+        raise ValueError(f"{len(tables)} rate tables for {schedule.num_users} scheduled users")
     freq, hists, totals = _per_user_pass(schedule, tables)
     per_user = totals / schedule.horizon
     discount = 1.0 - schedule.T / cfg.C
@@ -253,4 +259,4 @@ def read_schedule(path, num_users: int | None = None) -> Schedule:
     if bad_rows:
         i, what = min(bad_rows)
         raise ValueError(f"{path}:{linenos[i]}: {what}")
-    return Schedule(horizon=H, T=assignments.shape[1], num_users=num_users, assignments=assignments)
+    return Schedule(num_users=num_users, assignments=assignments)

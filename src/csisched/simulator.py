@@ -73,7 +73,7 @@ def zf_precoder(H_hat: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MonteCarloReport:
-    """Empirical vs closed-form moment terms for one user at one CSI age.
+    """Empirical vs closed-form moment terms for user 0 at one CSI age.
 
     The ZF closed forms rest on the channel-hardening normalization (a
     deterministic sqrt(M - K) scale), whose per-draw fluctuation is
@@ -81,7 +81,6 @@ class MonteCarloReport:
     whose moment identities are exact."""
 
     precoder: str
-    user_index: int
     age: int
     trials: int
     seed: int
@@ -116,11 +115,10 @@ class MonteCarloReport:
         return out
 
 
-def _batch_moments(cfg, users, age, user_index, rng, batch):
-    """One batch of trials; returns (sum h^T v_k, sum |h^T v_i|^2 per i,
-    number of resampled draws)."""
+def _batch_moments(cfg, rho, age, rng, batch):
+    """One batch of trials for user 0 with correlation rho; returns
+    (sum h^T v_0, sum |h^T v_i|^2 per i, number of resampled draws)."""
     K, M = cfg.K, cfg.M
-    rho = users[user_index].rho
     resamples = 0
     H_hat = complex_gaussian(rng, (batch, K, M))
     if cfg.precoder == MF:
@@ -135,39 +133,32 @@ def _batch_moments(cfg, users, age, user_index, rng, batch):
             bad = np.linalg.cond(gram) > _COND_LIMIT
         inv = np.linalg.solve(gram, np.broadcast_to(np.eye(K), gram.shape))
         V = np.sqrt(M - K) * (np.conj(np.swapaxes(H_hat, -1, -2)) @ inv)
-    h_true = evolve_channel(H_hat[:, user_index, :], rho, age, rng)
+    h_true = evolve_channel(H_hat[:, 0, :], rho, age, rng)
     dots = np.einsum("bm,bmk->bk", h_true, V)
     return (
-        dots[:, user_index].sum(),
+        dots[:, 0].sum(),
         (np.abs(dots) ** 2).sum(axis=0),
         resamples,
     )
 
 
 def validate_closed_form(
-    cfg: SystemConfig,
-    users,
-    n: int,
-    trials: int,
-    seed: int,
-    user_index: int = 0,
+    cfg: SystemConfig, users, n: int, trials: int, seed: int
 ) -> MonteCarloReport:
-    """Estimate the SINR moment terms of one user by Monte Carlo and compare
+    """Estimate the SINR moment terms of user 0 by Monte Carlo and compare
     with the closed form at CSI age n.
 
-    Per trial: draw a fresh estimated channel matrix, age the target user's
-    true channel by n blocks, build the precoder from the estimates and
+    Per trial: draw a fresh estimated channel matrix, age user 0's true
+    channel by n blocks, build the precoder from the estimates and
     accumulate h^T v products.  Ill-conditioned ZF draws are resampled and
     counted.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials={trials} outside [1, {MAX_TRIALS}]")
-    if not 0 <= user_index < len(users):
-        raise ValueError("user_index out of range")
     K = cfg.K
     if len(users) != K:
         raise ValueError("user list does not match cfg.K")
-    user = users[user_index]
+    user = users[0]
     snrs = np.array([u.snr for u in users])
 
     # The closed form first, so that an overflowing SNR fails before any trial.
@@ -182,7 +173,7 @@ def validate_closed_form(
         # one child per batch: the children of an up-front spawn, never all held
         batch = min(_BATCH, trials - done)
         rng = np.random.default_rng(root.spawn(1)[0])
-        s_dot, s_abs2, res = _batch_moments(cfg, users, n, user_index, rng, batch)
+        s_dot, s_abs2, res = _batch_moments(cfg, user.rho, n, rng, batch)
         sum_dot += s_dot
         sum_abs2 += s_abs2
         resamples += res
@@ -191,14 +182,12 @@ def validate_closed_form(
     mean_dot = sum_dot / trials
     mean_abs2 = sum_abs2 / trials
     signal_emp = user.snr * abs(mean_dot) ** 2
-    variance_emp = user.snr * (mean_abs2[user_index] - abs(mean_dot) ** 2)
-    others = np.ones(K, dtype=bool)
-    others[user_index] = False
-    interference_emp = float((snrs[others] * mean_abs2[others]).sum())
+    variance_emp = user.snr * (mean_abs2[0] - abs(mean_dot) ** 2)
+    interference_emp = float((snrs[1:] * mean_abs2[1:]).sum())
     sinr_emp = signal_emp / (1.0 + variance_emp + interference_emp)
 
     decay = user.rho ** (2.0 * n)
-    interference_others = float(snrs[others].sum())
+    interference_others = float(snrs[1:].sum())
     if cfg.precoder == MF:
         signal_cf = user.snr * cfg.M * decay
         variance_cf = user.snr
@@ -210,7 +199,6 @@ def validate_closed_form(
 
     return MonteCarloReport(
         precoder=cfg.precoder,
-        user_index=user_index,
         age=int(n),
         trials=int(trials),
         seed=int(seed),

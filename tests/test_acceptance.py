@@ -78,7 +78,7 @@ def test_criterion_03_pilot_length_gain():
     for seed in range(20):
         users = reference_users(seed)
         tables = build_rate_tables(cfg, users)
-        _, best, curve = optimize_pilot_length(cfg, users, tables)
+        _, best, curve = optimize_pilot_length(cfg, tables)
         ratios.append(best.objective / curve[40].objective)
     elapsed = time.time() - t0
     mean_ratio = float(np.mean(ratios))
@@ -102,7 +102,7 @@ def test_criterion_04_user_count_sweep():
             users = reference_users(seed * 101 + K, K=K)
             cfg = SystemConfig(K=K, **cfg_base)
             tables = build_rate_tables(cfg, users)
-            _, best, curve = optimize_pilot_length(cfg, users, tables)
+            _, best, curve = optimize_pilot_length(cfg, tables)
             curve_over_k.append(best.objective)
             if K == 50:
                 ces_at_50.append(curve[50].objective)
@@ -139,10 +139,10 @@ def test_criterion_05_correlation_thresholds():
         for precoder in (MF, ZF):
             cfg = SystemConfig(M=64, K=40, C=50, precoder=precoder)
             tables = build_rate_tables(cfg, users)
-            alloc = optimize_frequencies(cfg, users, tables, k_scarce)
+            alloc = optimize_frequencies(cfg, tables, k_scarce)
             thr, closed = _zero_threshold(users, alloc.p)
             thresholds[precoder] = (thr, closed)
-            alloc30 = optimize_frequencies(cfg, users, tables, k_ample)
+            alloc30 = optimize_frequencies(cfg, tables, k_ample)
             lowest = int(np.argmin([u.rho for u in users]))
             ample_ok = ample_ok and alloc30.p[lowest] >= 1.0 - 1e-6
         thr_mf, closed_mf = thresholds[MF]
@@ -232,10 +232,10 @@ def test_criterion_09_schedule_fidelity():
     cfg = SystemConfig(M=64, K=40, C=50, precoder=ZF)
     users = reference_users(42)
     tables = build_rate_tables(cfg, users)
-    best_T, best, _ = optimize_pilot_length(cfg, users, tables)
+    best_T, best, _ = optimize_pilot_length(cfg, tables)
     schedule = build_schedule(best.p, best_T, 10_000, seed=7)
     counts = {len(set(row.tolist())) for row in schedule.assignments}
-    stats = exact_average_rate(schedule, cfg, users, tables)
+    stats = exact_average_rate(schedule, cfg, tables)
     gap = abs(stats.discounted_sum_rate - best.objective) / best.objective
     ok = gap <= 0.01 and counts == {best_T}
     report(
@@ -250,8 +250,8 @@ def test_criterion_10_endpoint_identities():
     cfg = SystemConfig(M=64, K=40, C=50, precoder=ZF)
     users = reference_users(3)
     tables = build_rate_tables(cfg, users)
-    zero = optimize_frequencies(cfg, users, tables, 0)
-    full = optimize_frequencies(cfg, users, tables, 40)
+    zero = optimize_frequencies(cfg, tables, 0)
+    full = optimize_frequencies(cfg, tables, 40)
     expect_full = (1 - 40 / 50) * sum(t.rates[0] for t in tables)
     ok = zero.objective == 0.0 and abs(full.objective - expect_full) <= 1e-12
     report(

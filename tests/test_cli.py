@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from csisched import cli
 from csisched.cli import (
     Scenario,
     cmd_rates,
@@ -92,6 +93,12 @@ class TestScenario:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             Scenario(rho_lo=0.8, rho_hi=0.2)
+
+    def test_draw_rejects_overflowing_snr_total(self):
+        # 3080 dB is finite per user; four of them sum past the float range.
+        sc = Scenario(M=8, K=4)
+        with pytest.raises(ValueError, match="snr_db=3080"):
+            sc.draw_users(snr_db=3080.0)
 
 
 class TestCommands:
@@ -307,6 +314,26 @@ class TestMain:
         assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("csisched:") and "snr" in err and err.count("\n") == 1
+
+    def test_sweep_pilot_rejects_overflowing_snr_before_any_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        search = cli.optimize_pilot_length
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(cli, "optimize_pilot_length", counted)
+        path = tmp_path / "small.txt"
+        path.write_text("M = 8\nK = 4\nprecoder = zf\n")
+        out = tmp_path / "out.csv"
+        argv = ["sweep-pilot", "--scenario", str(path), "--snr-db", "10,20,3080", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csisched:") and "snr" in err and err.count("\n") == 1
+        assert len(calls) == 0
 
     def test_seed_override_changes_output(self, scenario_file, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -140,12 +140,12 @@ class TestOptimizeFrequencies:
         self.tables = build_rate_tables(self.cfg, self.users)
 
     def test_zero_budget(self):
-        alloc = optimize_frequencies(self.cfg, self.users, self.tables, 0)
+        alloc = optimize_frequencies(self.cfg, self.tables, 0)
         assert np.all(alloc.p == 0.0)
         assert alloc.objective == 0.0
 
     def test_full_budget_forces_ones(self):
-        alloc = optimize_frequencies(self.cfg, self.users, self.tables, 3)
+        alloc = optimize_frequencies(self.cfg, self.tables, 3)
         assert np.all(alloc.p == 1.0)
         expect = (1 - 3 / 50) * sum(t.rates[0] for t in self.tables)
         assert alloc.objective == pytest.approx(expect, abs=1e-12)
@@ -154,12 +154,12 @@ class TestOptimizeFrequencies:
         cfg = SystemConfig(M=64, K=2, C=50, precoder=MF)
         users = [UserLink(snr=10, rho=0.8)] * 2
         tables = build_rate_tables(cfg, users)
-        alloc = optimize_frequencies(cfg, users, tables, 1)
+        alloc = optimize_frequencies(cfg, tables, 1)
         assert np.allclose(alloc.p, [0.5, 0.5], atol=1e-9)
 
     def test_matches_grid_oracle_k3(self):
         for T in (1, 2):
-            alloc = optimize_frequencies(self.cfg, self.users, self.tables, T)
+            alloc = optimize_frequencies(self.cfg, self.tables, T)
             best = grid_best_objective(self.tables, T, self.cfg.C)
             assert alloc.objective >= best - 1e-3
             # the grid can only undershoot the true optimum by quantization
@@ -167,14 +167,13 @@ class TestOptimizeFrequencies:
 
     def test_matches_grid_oracle_hand_built(self):
         cfg = SystemConfig(M=8, K=3, C=20, precoder=MF)
-        users = [UserLink(snr=1.0, rho=0.5)] * 3
         tables = [
             make_table([3.0, 1.2, 0.4, 0.1, 0.0]),
             make_table([5.0, 4.5, 4.0, 3.0, 1.0, 0.0]),
             make_table([2.0, 0.0]),
         ]
         for T in (1, 2):
-            alloc = optimize_frequencies(cfg, users, tables, T)
+            alloc = optimize_frequencies(cfg, tables, T)
             best = grid_best_objective(tables, T, cfg.C)
             assert alloc.objective == pytest.approx(best, abs=2e-3)
 
@@ -193,13 +192,12 @@ class TestOptimizeFrequencies:
         tables = [make_table(sorted((i / 5 for i in d), reverse=True)) for d in draws]
         K = len(tables)
         cfg = SystemConfig(M=8, K=K, C=20, precoder=MF)
-        users = [UserLink(snr=1.0, rho=0.5)] * K
         # Away from the jump S_k is steepest next to p = 0, where its slope
         # is at most G_k(n_max + 1); the best grid point with every jumping
         # user at p >= one step is at most 4 steps from the optimum in l1.
         lipschitz = max(t.prefix[-1] for t in tables)
         for T in range(1, K):
-            alloc = optimize_frequencies(cfg, users, tables, T)
+            alloc = optimize_frequencies(cfg, tables, T)
             assert abs(alloc.p.sum() - T) <= 1e-9
             assert alloc.p.min() >= 0.0 and alloc.p.max() <= 1.0
             best = grid_best_objective(tables, T, cfg.C)
@@ -217,7 +215,7 @@ class TestOptimizeFrequencies:
         users = [UserLink(snr=10.0, rho=r) for r in (0.6, 0.8, 1.0, 0.7, 1.0, 0.9)]
         tables = build_rate_tables(cfg, users)
         assert tables[2].n_max == N_MAX_HARD and tables[2].rates[-1] > 0.0
-        alloc = optimize_frequencies(cfg, users, tables, 1)
+        alloc = optimize_frequencies(cfg, tables, 1)
         assert alloc.objective >= former
         assert 0.0 < alloc.p[2] <= 1e-12 and 0.0 < alloc.p[4] <= 1e-12
         assert abs(alloc.p.sum() - 1.0) <= 1e-12
@@ -233,7 +231,7 @@ class TestOptimizeFrequencies:
         tables = build_rate_tables(cfg, users)
         assert all(t.n_max == 0 for t in tables)
         for T in (1, 2, 3):
-            alloc = optimize_frequencies(cfg, users, tables, T)
+            alloc = optimize_frequencies(cfg, tables, T)
             assert np.array_equal(alloc.p, np.full(4, T / 4))
             assert alloc.objective == 0.0
 
@@ -243,7 +241,7 @@ class TestOptimizeFrequencies:
         users = [UserLink(snr=10, rho=float(r)) for r in rng.uniform(0.3, 0.95, 6)]
         tables = build_rate_tables(cfg, users)
         for T in range(7):
-            alloc = optimize_frequencies(cfg, users, tables, T)
+            alloc = optimize_frequencies(cfg, tables, T)
             assert abs(alloc.p.sum() - T) <= 1e-9
             assert alloc.p.min() >= 0.0 and alloc.p.max() <= 1.0
             assert alloc.converged
@@ -252,26 +250,17 @@ class TestOptimizeFrequencies:
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
-            optimize_frequencies(self.cfg, self.users, self.tables, -1)
+            optimize_frequencies(self.cfg, self.tables, -1)
         with pytest.raises(ValueError):
-            optimize_frequencies(self.cfg, self.users, self.tables, 4)
+            optimize_frequencies(self.cfg, self.tables, 4)
 
 
 class TestOptimizePilotLength:
-    def test_rejects_mismatched_users(self):
-        cfg = SystemConfig(M=8, K=2, C=10, precoder=MF)
-        users = [UserLink(snr=5.0, rho=0.5)] * 2
-        tables = build_rate_tables(cfg, users)
-        with pytest.raises(ValueError, match="matching length"):
-            optimize_pilot_length(cfg, users[:1], tables)
-        with pytest.raises(ValueError, match="matching length"):
-            optimize_frequencies(cfg, users[:1], tables, 1)
-
     def test_single_persistent_user(self):
         cfg = SystemConfig(M=8, K=1, C=10, precoder=MF)
         users = [UserLink(snr=5.0, rho=1.0)]
         tables = build_rate_tables(cfg, users)
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+        best_T, best, curve = optimize_pilot_length(cfg, tables)
         assert best_T == 1
         assert curve[0].objective == 0.0
         assert best.objective == pytest.approx((1 - 1 / 10) * tables[0].rates[0], rel=1e-12)
@@ -282,7 +271,7 @@ class TestOptimizePilotLength:
         cfg = SystemConfig(M=8, K=2, C=10, precoder=MF)
         users = [UserLink(snr=5.0, rho=0.0)] * 2
         tables = build_rate_tables(cfg, users)
-        _, _, curve = optimize_pilot_length(cfg, users, tables)
+        _, _, curve = optimize_pilot_length(cfg, tables)
         r0_sum = sum(t.rates[0] for t in tables)
         for T, alloc in enumerate(curve):
             expect = (1 - T / 10) * (T / 2) * r0_sum
@@ -293,7 +282,7 @@ class TestOptimizePilotLength:
         rng = np.random.default_rng(11)
         users = [UserLink(snr=10, rho=float(r)) for r in rng.uniform(0.5, 0.9, 5)]
         tables = build_rate_tables(cfg, users)
-        _, _, curve = optimize_pilot_length(cfg, users, tables)
+        _, _, curve = optimize_pilot_length(cfg, tables)
         assert curve[0].objective == 0.0
         expect = (1 - 5 / 50) * sum(t.rates[0] for t in tables)
         assert curve[5].objective == pytest.approx(expect, abs=1e-12)
@@ -302,7 +291,7 @@ class TestOptimizePilotLength:
         cfg = SystemConfig(M=64, K=12, C=8, precoder=ZF)
         users = [UserLink(snr=10, rho=0.8)] * 12
         tables = build_rate_tables(cfg, users)
-        best_T, _, curve = optimize_pilot_length(cfg, users, tables)
+        best_T, _, curve = optimize_pilot_length(cfg, tables)
         assert len(curve) == 9  # T in 0..8
         assert 0 < best_T < 8
 
@@ -311,7 +300,7 @@ class TestOptimizePilotLength:
         rng = np.random.default_rng(2)
         users = [UserLink(snr=10, rho=float(r)) for r in rng.uniform(0.6, 0.9, 40)]
         tables = build_rate_tables(cfg, users)
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+        best_T, best, curve = optimize_pilot_length(cfg, tables)
         assert 0 < best_T < 40
         assert best.objective > curve[40].objective
 
@@ -349,12 +338,11 @@ class TestFillPlan:
         tables = [pool[i % len(pool)] for i in picks]
         K = len(tables)
         cfg = SystemConfig(M=64, K=K, C=C, precoder=MF)
-        users = [t.user for t in tables]
         want = [per_t_water_fill(tables, T, C) for T in range(min(K, C) + 1)]
-        best_T, best, curve = optimize_pilot_length(cfg, users, tables)
+        best_T, best, curve = optimize_pilot_length(cfg, tables)
         assert [a.T for a in curve] == list(range(len(want)))
         for T, (alloc, (p, objective)) in enumerate(zip(curve, want)):
-            single = optimize_frequencies(cfg, users, tables, T)
+            single = optimize_frequencies(cfg, tables, T)
             for got in (alloc, single):
                 assert np.array_equal(got.p, p)
                 assert got.objective == objective

@@ -11,6 +11,7 @@ from csisched.ratemodel import (
     SystemConfig,
     UserLink,
     build_rate_table,
+    build_rate_tables,
     g_extended,
     g_smoothed,
     rate,
@@ -87,11 +88,6 @@ class TestRate:
         got = rate(MF_CFG, UserLink(snr=10, rho=0.9), 10.0, 0)
         assert got == pytest.approx(np.log2(1 + 640.0 / 11.0), rel=1e-12)
 
-    def test_natural_log_base(self):
-        cfg = SystemConfig(M=64, K=1, C=50, precoder=MF, log_base="natural")
-        got = rate(cfg, UserLink(snr=10, rho=0.9), 10.0, 0)
-        assert got == pytest.approx(np.log(1 + 640.0 / 11.0), rel=1e-12)
-
     def test_rho_zero_stale_rate_is_zero(self):
         for cfg in (MF_CFG, ZF_CFG):
             assert rate(cfg, UserLink(snr=10, rho=0.0), 400.0, 3) == 0.0
@@ -137,6 +133,14 @@ class TestRateTable:
         expect = t.rates[[0, 2, t.n_max, t.n_max, t.n_max]]
         assert np.array_equal(t.rate_at_age(ages), expect)
         assert t.rate_at_age(10_000) == t.rates[-1]
+
+    def test_tables_need_a_set_of_cfg_k_users(self):
+        # ZF rates scale with M - K, so a user set of another size would
+        # silently take the configuration's K.
+        cfg = SystemConfig(M=64, K=40, C=50, precoder=ZF)
+        users = [UserLink(snr=10.0, rho=0.8)] * 10
+        with pytest.raises(ValueError, match="10 users .*K=40"):
+            build_rate_tables(cfg, users)
 
 
 class TestGExtended:

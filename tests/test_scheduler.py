@@ -177,7 +177,7 @@ class TestExactAverageRate:
 
     def test_everyone_every_block(self):
         s = build_schedule(np.ones(4), 4, 300, seed=None)
-        stats = exact_average_rate(s, self.cfg, self.users, self.tables)
+        stats = exact_average_rate(s, self.cfg, self.tables)
         expect = (1 - 4 / 50) * sum(t.rates[0] for t in self.tables)
         assert stats.discounted_sum_rate == pytest.approx(expect, rel=1e-12)
 
@@ -188,7 +188,7 @@ class TestExactAverageRate:
         users2 = [UserLink(snr=10, rho=0.9), UserLink(snr=0.0, rho=0.5)]
         tables2 = build_rate_tables(cfg2, users2)
         s2 = build_schedule(np.array([0.5, 0.5]), 1, 10_000, seed=None)
-        stats = exact_average_rate(s2, cfg2, users2, tables2)
+        stats = exact_average_rate(s2, cfg2, tables2)
         expect = (1 - 1 / 50) * s_of_p(tables2[0], 0.5)
         assert stats.discounted_sum_rate == pytest.approx(expect, rel=1e-3)
 
@@ -199,7 +199,7 @@ class TestExactAverageRate:
         users = [UserLink(snr=10, rho=0.85)] * 3
         tables = build_rate_tables(cfg, users)
         s = build_schedule(np.full(3, 1 / 3), 1, 9999, seed=None)
-        stats = exact_average_rate(s, cfg, users, tables)
+        stats = exact_average_rate(s, cfg, tables)
         expect = (1 - 1 / 50) * 3 * s_of_p(tables[0], 1 / 3)
         assert stats.discounted_sum_rate == pytest.approx(expect, rel=1e-3)
 
@@ -214,8 +214,8 @@ class TestExactAverageRate:
         for m in (1, 2, 4, 7):
             horizon = m * 60
             rows = np.where(np.arange(horizon) % m == 0, 0, 1).reshape(-1, 1)
-            sched = Schedule(horizon=horizon, T=1, num_users=2, assignments=rows)
-            stats = exact_average_rate(sched, cfg, users, tables)
+            sched = Schedule(num_users=2, assignments=rows)
+            stats = exact_average_rate(sched, cfg, tables)
             expect = (1 - 1 / 50) * s_of_p(tables[0], 1.0 / m)
             assert stats.discounted_sum_rate == pytest.approx(expect, rel=1e-12)
 
@@ -240,8 +240,8 @@ class TestExactAverageRate:
             users2 = [users[0], UserLink(snr=0.0, rho=0.5)]
             tables2 = build_rate_tables(cfg2, users2)
             rows = np.where(mask, 0, 1).reshape(-1, 1)
-            sched = Schedule(horizon=horizon, T=1, num_users=2, assignments=rows)
-            stats = exact_average_rate(sched, cfg2, users2, tables2)
+            sched = Schedule(num_users=2, assignments=rows)
+            stats = exact_average_rate(sched, cfg2, tables2)
             if perm == 0:
                 first = stats.discounted_sum_rate
             else:
@@ -252,7 +252,21 @@ class TestExactAverageRate:
         # dropped silently.
         for rows in ([[0], [2]], [[-1], [0]]):
             with pytest.raises(ValueError, match=re.escape("user index outside [0, 2)")):
-                Schedule(horizon=2, T=1, num_users=2, assignments=rows)
+                Schedule(num_users=2, assignments=rows)
+
+    def test_rejects_assignments_that_are_not_2d(self):
+        for rows in ([0, 1, 0], [[[0]], [[1]]]):
+            with pytest.raises(ValueError, match=re.escape("(horizon, T) array")):
+                Schedule(num_users=2, assignments=rows)
+
+    def test_horizon_and_t_come_from_the_array(self):
+        sched = Schedule(num_users=3, assignments=np.zeros((5, 2), dtype=int))
+        assert (sched.horizon, sched.T) == (5, 2)
+
+    def test_rejects_tables_of_another_user_set(self):
+        s = build_schedule(np.full(3, 1 / 3), 1, 30, seed=None)
+        with pytest.raises(ValueError, match="2 rate tables for 3 scheduled users"):
+            exact_average_rate(s, self.cfg, self.tables[:2])
 
     def test_cold_start_contributes_zero(self):
         cfg = SystemConfig(M=64, K=2, C=50, precoder=MF)
@@ -261,8 +275,8 @@ class TestExactAverageRate:
         from csisched.scheduler import Schedule
 
         rows = np.array([[0], [0], [1], [0]])
-        sched = Schedule(horizon=4, T=1, num_users=2, assignments=rows)
-        stats = exact_average_rate(sched, cfg, users, tables)
+        sched = Schedule(num_users=2, assignments=rows)
+        stats = exact_average_rate(sched, cfg, tables)
         # user 1 idle during blocks 0-1, age 0 at block 2, age 1 at block 3
         r = tables[1].rates
         assert stats.per_user_rate[1] == pytest.approx((r[0] + r[1]) / 4, rel=1e-12)
@@ -288,9 +302,9 @@ class TestPerUserReplay:
         tables = build_rate_tables(cfg, users)
         active = rng.permutation(K)[: int(rng.integers(T, K + 1))]
         rows = [np.sort(rng.permutation(active)[:T]) for _ in range(horizon)]
-        sched = Schedule(horizon=horizon, T=T, num_users=K, assignments=rows)
+        sched = Schedule(num_users=K, assignments=rows)
         freq, hists, rates = block_replay(sched, tables)
-        stats = exact_average_rate(sched, cfg, users, tables)
+        stats = exact_average_rate(sched, cfg, tables)
         assert np.array_equal(stats.per_user_rate, rates)
         assert np.array_equal(stats.frequencies, freq)
         assert stats.interval_histograms == hists

@@ -185,8 +185,6 @@ class TestValidateClosedForm:
         users = [UserLink(snr=1.0, rho=0.9)] * 2
         with pytest.raises(ValueError):
             validate_closed_form(cfg, users, 1, trials=0, seed=1)
-        with pytest.raises(ValueError):
-            validate_closed_form(cfg, users, 1, trials=10, seed=1, user_index=5)
 
     def test_max_trials_spawns_one_seed_per_batch(self, monkeypatch):
         # An up-front spawn at MAX_TRIALS makes about 400,000 seeds before
