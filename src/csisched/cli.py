@@ -2,15 +2,19 @@
 
 A scenario is a flat ``key = value`` text file; users are generated from a
 seeded uniform draw of temporal correlations, so every sweep is reproducible
-byte for byte from (file, seed).  Commands emit CSV with '#'-prefixed
-metadata lines; rates are in bits per channel use.
+byte for byte from (file, seed).  A sweep varies one field of the scenario
+(precoder, SNR or user count) on a ``dataclasses.replace`` copy, which checks
+the new value again.  ``build_parser`` declares each subcommand once: its
+name, help, arguments and the handler that runs its ``cmd_*`` function and
+writes the output.  Commands emit CSV with '#'-prefixed metadata lines, each
+cell formatted by ``_format_value``; rates are in bits per channel use.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,13 +44,13 @@ MAX_USERS = 100_000
 
 
 def db_to_linear(db: float) -> float:
-    """Linear value of an SNR in dB; ValueError naming snr_db if it is not
-    finite."""
+    """Linear value of an SNR in dB; ValueError naming snr_db if either is
+    not finite."""
     try:
         linear = 10.0 ** (db / 10.0)
     except OverflowError:
         linear = float("inf")
-    if not np.isfinite(linear):
+    if not (np.isfinite(db) and np.isfinite(linear)):
         raise ValueError(f"snr_db={db!r} has no finite linear value")
     return linear
 
@@ -68,35 +72,27 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 <= self.rho_lo <= self.rho_hi <= 1.0:
             raise ValueError("need 0 <= rho_lo <= rho_hi <= 1")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
         db_to_linear(self.snr_db)
 
-    def config(self, precoder: str | None = None, K: int | None = None) -> SystemConfig:
-        return SystemConfig(
-            M=self.M,
-            K=self.K if K is None else K,
-            C=self.C,
-            precoder=self.precoder if precoder is None else precoder,
-        )
+    def config(self) -> SystemConfig:
+        return SystemConfig(M=self.M, K=self.K, C=self.C, precoder=self.precoder)
 
-    def draw_users(self, K: int | None = None, snr_db: float | None = None) -> list[UserLink]:
+    def draw_users(self) -> list[UserLink]:
         """Seeded user draw: rho uniform on [rho_lo, rho_hi], common SNR.
 
         The draw depends only on (seed, K), so all pilot lengths and both
         precoders within a sweep see the same users.  An SNR whose total or
         snr * M overflows, where the rates would be NaN, raises ValueError.
         """
-        K = self.K if K is None else K
+        K = self.K
         if not 1 <= K <= MAX_USERS:
             raise ValueError(f"user count K={K} outside [1, {MAX_USERS}]")
-        snr_db = self.snr_db if snr_db is None else snr_db
-        snr = db_to_linear(snr_db)
+        snr = db_to_linear(self.snr_db)
         rng = np.random.default_rng([self.seed, K])
         rhos = rng.uniform(self.rho_lo, self.rho_hi, size=K)
         users = [UserLink(snr=snr, rho=float(r)) for r in rhos]
         if not (np.isfinite(total_snr(users)) and np.isfinite(snr * self.M)):
-            raise ValueError(f"snr_db={snr_db!r}: the SNR total of {K} users overflows")
+            raise ValueError(f"snr_db={self.snr_db!r}: the SNR total of {K} users overflows")
         return users
 
     def metadata(self) -> str:
@@ -167,42 +163,13 @@ class SweepResult:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
+    """The text of one CSV cell: integers (bools as 0/1) in decimal, floats
+    as their shortest round-tripping repr."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def _parse_value(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        return tok
-
-
-def parse_sweep_csv(text: str) -> SweepResult:
-    """Inverse of SweepResult.to_csv for the numeric payload."""
-    metadata, header, rows = [], None, []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            metadata.append(line[1:].strip())
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append(tuple(_parse_value(tok) for tok in line.split(",")))
-    if header is None:
-        raise ValueError("no header row found")
-    return SweepResult(metadata=metadata[1:], header=header, rows=rows)
 
 
 def cmd_rates(scenario: Scenario, ages) -> SweepResult:
@@ -227,7 +194,7 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
     users = scenario.draw_users()
     rows = []
     for precoder in (MF, ZF):
-        cfg = scenario.config(precoder=precoder)
+        cfg = replace(scenario, precoder=precoder).config()
         tables = build_rate_tables(cfg, users)
         for T in t_values:
             alloc = optimize_frequencies(cfg, tables, int(T))
@@ -245,11 +212,11 @@ def cmd_sweep_pilot(scenario: Scenario, snr_db_list) -> SweepResult:
     """Discounted sum rate against pilot length per SNR and precoder; the
     per-curve argmax row is marked."""
     # every draw first, so that a bad SNR fails before any sweep runs
-    user_sets = [scenario.draw_users(snr_db=snr_db) for snr_db in snr_db_list]
+    user_sets = [replace(scenario, snr_db=snr_db).draw_users() for snr_db in snr_db_list]
     rows = []
     for snr_db, users in zip(snr_db_list, user_sets):
         for precoder in (MF, ZF):
-            cfg = scenario.config(precoder=precoder)
+            cfg = replace(scenario, precoder=precoder).config()
             tables = build_rate_tables(cfg, users)
             best_T, _, curve = optimize_pilot_length(cfg, tables)
             for alloc in curve:
@@ -272,8 +239,9 @@ def cmd_sweep_users(scenario: Scenario, k_values) -> SweepResult:
     rows = []
     for K in k_values:
         K = int(K)
-        users = scenario.draw_users(K=K)
-        cfg = scenario.config(K=K)
+        sized = replace(scenario, K=K)
+        users = sized.draw_users()
+        cfg = sized.config()
         tables = build_rate_tables(cfg, users)
         best_T, best, curve = optimize_pilot_length(cfg, tables)
         ces = curve[K].objective if K < scenario.C else 0.0
@@ -317,7 +285,8 @@ def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None):
     rows = []
     for k, u in enumerate(users):
         hist = "|".join(
-            f"{gap}:{repr(mass)}" for gap, mass in sorted(stats.interval_histograms[k].items())
+            f"{gap}:{_format_value(mass)}"
+            for gap, mass in sorted(stats.interval_histograms[k].items())
         )
         rows.append(
             (k, u.rho, float(alloc.p[k]), float(stats.frequencies[k]),
@@ -327,8 +296,8 @@ def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None):
         metadata=[
             scenario.metadata(),
             f"command: schedule T={int(T)} horizon={horizon} seed={scenario.seed}",
-            f"relaxed_objective: {repr(alloc.objective)}",
-            f"achieved_rate: {repr(stats.discounted_sum_rate)}",
+            f"relaxed_objective: {_format_value(alloc.objective)}",
+            f"achieved_rate: {_format_value(stats.discounted_sum_rate)}",
         ],
         header=["user", "rho", "p_target", "p_achieved", "avg_rate", "intervals"],
         rows=rows,
@@ -336,15 +305,18 @@ def cmd_schedule(scenario: Scenario, T: int, horizon: int | None = None):
     return schedule, result
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in errors
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _write_output(text: str, out: str) -> None:
+def _write_csv(result: SweepResult, out: str) -> None:
+    text = result.to_csv()
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -352,41 +324,54 @@ def _write_output(text: str, out: str) -> None:
             fh.write(text)
 
 
+def _run_schedule(scenario: Scenario, args) -> None:
+    """Write the schedule to --out and its stats CSV beside it."""
+    if args.out == "-":
+        raise ValueError("schedule command needs --out PATH for the schedule file")
+    schedule, result = cmd_schedule(scenario, args.pilot_length, args.horizon)
+    write_schedule(schedule, args.out)
+    _write_csv(result, args.stats_out or args.out + ".stats.csv")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each subcommand's ``run(scenario, args)`` writes its outputs."""
     parser = argparse.ArgumentParser(
         prog="csisched",
         description="Pilot scheduling experiments for massive MIMO with aged CSI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ints, floats = _list_of(int), _list_of(float)
 
-    def common(p):
+    def command(name, help, run):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=True, help="scenario file (key = value)")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("rates", help="per-user rates at given ages of CSI")
-    common(p)
-    p.add_argument("--ages", type=_int_list, default=[0, 1, 2, 5])
+    p = command("rates", "per-user rates at given ages of CSI",
+                lambda sc, a: _write_csv(cmd_rates(sc, a.ages), a.out))
+    p.add_argument("--ages", type=ints, default=[0, 1, 2, 5])
 
-    p = sub.add_parser("sweep-rho", help="updating frequency vs correlation")
-    common(p)
-    p.add_argument("--pilot-lengths", type=_int_list, default=[5, 30])
+    p = command("sweep-rho", "updating frequency vs correlation",
+                lambda sc, a: _write_csv(cmd_sweep_rho(sc, a.pilot_lengths), a.out))
+    p.add_argument("--pilot-lengths", type=ints, default=[5, 30])
 
-    p = sub.add_parser("sweep-pilot", help="sum rate vs pilot length")
-    common(p)
-    p.add_argument("--snr-db", type=_float_list, default=[10.0])
+    p = command("sweep-pilot", "sum rate vs pilot length",
+                lambda sc, a: _write_csv(cmd_sweep_pilot(sc, a.snr_db), a.out))
+    p.add_argument("--snr-db", type=floats, default=[10.0])
 
-    p = sub.add_parser("sweep-users", help="sum rate and best pilot length vs user count")
-    common(p)
-    p.add_argument("--user-counts", type=_int_list, default=[5, 10, 15, 20, 25, 30, 35, 40, 45, 50])
+    p = command("sweep-users", "sum rate and best pilot length vs user count",
+                lambda sc, a: _write_csv(cmd_sweep_users(sc, a.user_counts), a.out))
+    p.add_argument("--user-counts", type=ints, default=[5, 10, 15, 20, 25, 30, 35, 40, 45, 50])
 
-    p = sub.add_parser("validate", help="Monte Carlo check of the closed-form SINR")
-    common(p)
-    p.add_argument("--ages", type=_int_list, default=[0, 1, 2, 5])
+    p = command("validate", "Monte Carlo check of the closed-form SINR",
+                lambda sc, a: _write_csv(cmd_validate(sc, a.ages, a.trials), a.out))
+    p.add_argument("--ages", type=ints, default=[0, 1, 2, 5])
     p.add_argument("--trials", type=int, default=100_000)
 
-    p = sub.add_parser("schedule", help="build and replay a per-block pilot schedule")
-    common(p)
+    p = command("schedule", "build and replay a per-block pilot schedule", _run_schedule)
     p.add_argument("--pilot-length", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--stats-out", default=None, help="stats CSV path (default <out>.stats.csv)")
@@ -397,28 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario, seed=args.seed)
-        if args.command == "rates":
-            result = cmd_rates(scenario, args.ages)
-        elif args.command == "sweep-rho":
-            result = cmd_sweep_rho(scenario, args.pilot_lengths)
-        elif args.command == "sweep-pilot":
-            result = cmd_sweep_pilot(scenario, args.snr_db)
-        elif args.command == "sweep-users":
-            result = cmd_sweep_users(scenario, args.user_counts)
-        elif args.command == "validate":
-            result = cmd_validate(scenario, args.ages, args.trials)
-        elif args.command == "schedule":
-            if args.out == "-":
-                raise ValueError("schedule command needs --out PATH for the schedule file")
-            schedule, result = cmd_schedule(scenario, args.pilot_length, args.horizon)
-            write_schedule(schedule, args.out)
-            stats_out = args.stats_out or args.out + ".stats.csv"
-            _write_output(result.to_csv(), stats_out)
-            return 0
-        else:  # pragma: no cover - argparse enforces choices
-            raise ValueError(f"unknown command {args.command!r}")
-        _write_output(result.to_csv(), args.out)
+        args.run(load_scenario(args.scenario, seed=args.seed), args)
     except (ValueError, OSError) as exc:
         print(f"csisched: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import TAIL_EPSILON, SystemConfig
+from .ratemodel import TAIL_EPSILON, SystemConfig, check_pilot_length
 
 # Frequency given to a user whose S_k jumps at p = 0 (a table cut at the hard
 # cap) when the fill would leave it at 0.  1/P_SLIVER = 2**52 is exact, and
@@ -182,17 +182,14 @@ class _FillPlan:
         self.rank = rank.reshape(K, L)
 
     def allocation(self, cfg: SystemConfig, T: int) -> FrequencyAllocation:
-        """The optimal allocation at pilot length T, 0 <= T <= K."""
+        """The optimal allocation at pilot length T, 0 <= T <= min(K, C)."""
         K = self.K
         T = int(T)
-        if not 0 <= T <= K:
-            raise ValueError(f"pilot length T={T} outside [0, {K}]")
+        check_pilot_length(T, K, cfg.C)
         if T == 0:
             # No estimation, no coherent precoding: the zero allocation is forced.
             return FrequencyAllocation(np.zeros(K), 0, 0.0, 0, True)
         if T == K:
-            if K > cfg.C:
-                raise ValueError("T = K with K > C leaves no room for data")
             p = np.ones(K)
         elif self.L == 0:
             # Every table holds only R(0), so every S_k is constant for p > 0.

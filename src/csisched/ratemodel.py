@@ -65,6 +65,13 @@ class SystemConfig:
             raise ValueError("zero forcing requires M > K")
 
 
+def check_pilot_length(T: int, K: int, C: int) -> None:
+    """ValueError naming T, K and C unless 0 <= T <= min(K, C): a block
+    trains at most each of its K users once, within its C channel uses."""
+    if not 0 <= T <= min(K, C):
+        raise ValueError(f"pilot length T={T} outside [0, min(K, C)] with K={K}, C={C}")
+
+
 @dataclass(frozen=True)
 class UserLink:
     """Per-user link parameters.

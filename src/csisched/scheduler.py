@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import SystemConfig
+from .ratemodel import SystemConfig, check_pilot_length
 
 _WRITE_CHUNK = 4096  # blocks per write_schedule chunk
 
@@ -190,6 +190,7 @@ def exact_average_rate(schedule: Schedule, cfg: SystemConfig, tables) -> Schedul
     """
     if len(tables) != schedule.num_users:
         raise ValueError(f"{len(tables)} rate tables for {schedule.num_users} scheduled users")
+    check_pilot_length(schedule.T, schedule.num_users, cfg.C)
     freq, hists, totals = _per_user_pass(schedule, tables)
     per_user = totals / schedule.horizon
     discount = 1.0 - schedule.T / cfg.C

@@ -80,8 +80,6 @@ class MonteCarloReport:
     O(1/(M - K)); ZF comparisons therefore warrant a looser band than MF,
     whose moment identities are exact."""
 
-    precoder: str
-    age: int
     trials: int
     seed: int
     resamples: int
@@ -198,8 +196,6 @@ def validate_closed_form(
         interference_cf = (1.0 - decay) * interference_others
 
     return MonteCarloReport(
-        precoder=cfg.precoder,
-        age=int(n),
         trials=int(trials),
         seed=int(seed),
         resamples=resamples,

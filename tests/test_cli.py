@@ -1,6 +1,8 @@
 """CLI tests: scenario parsing, sweeps, CSV round trips, exit codes."""
 
+import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from csisched.cli import (
     db_to_linear,
     load_scenario,
     main,
-    parse_sweep_csv,
 )
 
 SMALL_SCENARIO = """
@@ -32,6 +33,12 @@ rho_hi = 0.9
 seed = 3
 horizon = 400
 """
+
+
+def read_csv(text):
+    """Header and rows of a CLI CSV, '#' metadata lines skipped; cells stay text."""
+    header, *rows = csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+    return header, rows
 
 
 @pytest.fixture
@@ -96,9 +103,9 @@ class TestScenario:
 
     def test_draw_rejects_overflowing_snr_total(self):
         # 3080 dB is finite per user; four of them sum past the float range.
-        sc = Scenario(M=8, K=4)
+        sc = replace(Scenario(M=8, K=4), snr_db=3080.0)
         with pytest.raises(ValueError, match="snr_db=3080"):
-            sc.draw_users(snr_db=3080.0)
+            sc.draw_users()
 
 
 class TestCommands:
@@ -186,15 +193,11 @@ class TestCsv:
     def test_round_trip(self, scenario_file):
         sc = load_scenario(scenario_file)
         res = cmd_rates(sc, [0, 1])
-        back = parse_sweep_csv(res.to_csv())
-        assert back.header == res.header
-        assert len(back.rows) == len(res.rows)
-        for got, want in zip(back.rows, res.rows):
-            for g, w in zip(got, want):
-                if isinstance(w, float):
-                    assert g == w  # repr round-trips exactly
-                else:
-                    assert g == w
+        header, rows = read_csv(res.to_csv())
+        assert header == res.header
+        assert len(rows) == len(res.rows)
+        for got, want in zip(rows, res.rows):
+            assert [type(w)(g) for g, w in zip(got, want)] == list(want)  # repr round-trips
 
     def test_rejects_non_finite(self):
         from csisched.cli import SweepResult
@@ -246,6 +249,7 @@ class TestMain:
         "argv, named",
         [
             (["sweep-pilot", "--snr-db", "1e308"], "snr_db=1e+308"),
+            (["sweep-pilot", "--snr-db", "10,-inf"], "snr_db=-inf"),
             (["sweep-users", "--user-counts", "100000000000"], "user count K=100000000000"),
             (["sweep-users", "--user-counts", "-3"], "user count K=-3"),
             (["schedule", "--pilot-length", "2", "--horizon", "100000000000000"],
@@ -253,7 +257,8 @@ class TestMain:
             (["validate", "--trials", "100000000000000000000"],
              "trials=100000000000000000000"),
         ],
-        ids=["snr-db", "user-count-huge", "user-count-negative", "horizon", "trials"],
+        ids=["snr-db", "snr-db-minus-inf", "user-count-huge", "user-count-negative", "horizon",
+             "trials"],
     )
     def test_bad_sizes_are_rejected_before_any_allocation(
         self, tmp_path, monkeypatch, capsys, argv, named
@@ -335,6 +340,23 @@ class TestMain:
         assert err.startswith("csisched:") and "snr" in err and err.count("\n") == 1
         assert len(calls) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--pilot-length", "5", "--horizon", "50"],
+            ["sweep-rho", "--pilot-lengths", "2,5"],
+        ],
+        ids=["schedule", "sweep-rho"],
+    )
+    def test_pilot_length_above_block_length_fails(self, tmp_path, capsys, argv):
+        # T = 5 > C = 4 gave negative rates and exit 0.
+        path = tmp_path / "short.txt"
+        path.write_text("M = 64\nK = 6\nC = 4\n")
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csisched:") and "pilot length T=5" in err and err.count("\n") == 1
+
     def test_seed_override_changes_output(self, scenario_file, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -363,14 +385,14 @@ class TestMain:
         out = tmp_path / "pilot.csv"
         argv = ["sweep-pilot", "--scenario", str(path), "--snr-db", "-4000", "--out", str(out)]
         assert main(argv) == 0
-        rows = parse_sweep_csv(out.read_text()).rows
+        _, rows = read_csv(out.read_text())
         assert len(rows) == 2 * 7
-        assert all(r[3] == 0.0 and r[4] == (r[2] == 0) for r in rows)
+        assert all(float(r[3]) == 0.0 and r[4] == str(int(r[2] == "0")) for r in rows)
         sched = tmp_path / "sched.txt"
         argv = ["schedule", "--scenario", str(path), "--pilot-length", "5", "--out", str(sched)]
         assert main(argv) == 0
-        stats = parse_sweep_csv((tmp_path / "sched.txt.stats.csv").read_text())
-        assert all(r[2] == 5 / 6 and r[4] == 0.0 for r in stats.rows)
+        _, rows = read_csv((tmp_path / "sched.txt.stats.csv").read_text())
+        assert all(float(r[2]) == 5 / 6 and float(r[4]) == 0.0 for r in rows)
         assert capsys.readouterr().err == ""
 
     def test_schedule_writes_files(self, scenario_file, tmp_path):

@@ -1,0 +1,33 @@
+"""The fast demos run to a clean exit.
+
+monte_carlo_validation.py is left out: it takes about half a minute and runs
+the Monte Carlo path that acceptance criteria 01 and 02 already cover.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = [
+    "aged_rate_curves.py",
+    "frequency_vs_correlation.py",
+    "interval_law_and_schedule.py",
+    "sum_rate_vs_pilot_length.py",
+    "sum_rate_vs_user_count.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and not proc.stderr

@@ -254,6 +254,15 @@ class TestOptimizeFrequencies:
         with pytest.raises(ValueError):
             optimize_frequencies(self.cfg, self.tables, 4)
 
+    def test_rejects_pilot_length_above_block_length(self):
+        # T = 5 > C = 4 gave the discount 1 - T/C < 0 and a negative objective.
+        cfg = SystemConfig(M=64, K=6, C=4, precoder=ZF)
+        users = [UserLink(snr=10, rho=float(r)) for r in np.linspace(0.6, 0.85, 6)]
+        tables = build_rate_tables(cfg, users)
+        with pytest.raises(ValueError, match=r"pilot length T=5 .*K=6, C=4"):
+            optimize_frequencies(cfg, tables, 5)
+        assert optimize_frequencies(cfg, tables, 4).objective == 0.0
+
 
 class TestOptimizePilotLength:
     def test_single_persistent_user(self):

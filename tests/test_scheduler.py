@@ -268,6 +268,15 @@ class TestExactAverageRate:
         with pytest.raises(ValueError, match="2 rate tables for 3 scheduled users"):
             exact_average_rate(s, self.cfg, self.tables[:2])
 
+    def test_rejects_pilot_length_above_block_length(self):
+        # T = 3 > C = 2 gave the discount 1 - T/C < 0 and a negative rate.
+        cfg = SystemConfig(M=64, K=4, C=2, precoder=MF)
+        tables = build_rate_tables(cfg, self.users)
+        with pytest.raises(ValueError, match=r"pilot length T=3 .*K=4, C=2"):
+            exact_average_rate(build_schedule(np.full(4, 0.75), 3, 40), cfg, tables)
+        at_c = exact_average_rate(build_schedule(np.full(4, 0.5), 2, 40), cfg, tables)
+        assert at_c.discounted_sum_rate == 0.0
+
     def test_cold_start_contributes_zero(self):
         cfg = SystemConfig(M=64, K=2, C=50, precoder=MF)
         users = [UserLink(snr=10, rho=0.9), UserLink(snr=10, rho=0.9)]
