@@ -236,12 +236,12 @@ def cmd_sweep_users(scenario: Scenario, k_values) -> SweepResult:
     The continuous scheme estimates everyone every block (T = K), which
     leaves no data room once K reaches the block length.
     """
+    # every count's system and users first, so that a bad count fails
+    # before any search runs
+    sized = [replace(scenario, K=int(K)) for K in k_values]
+    setups = [(sc.K, sc.draw_users(), sc.config()) for sc in sized]
     rows = []
-    for K in k_values:
-        K = int(K)
-        sized = replace(scenario, K=K)
-        users = sized.draw_users()
-        cfg = sized.config()
+    for K, users, cfg in setups:
         tables = build_rate_tables(cfg, users)
         best_T, best, curve = optimize_pilot_length(cfg, tables)
         ces = curve[K].objective if K < scenario.C else 0.0
@@ -254,18 +254,34 @@ def cmd_sweep_users(scenario: Scenario, k_values) -> SweepResult:
 
 
 def cmd_validate(scenario: Scenario, ages, trials: int) -> SweepResult:
-    """Monte Carlo check of user 0's closed-form SINR at each age."""
+    """Monte Carlo check of user 0's closed-form SINR at each age.
+
+    Each age adds a metadata line with the batch-means standard errors of
+    the signal, variance and interference terms and the resampled draws."""
     cfg = scenario.config()
     users = scenario.draw_users()
-    rows = []
+    rows, diagnostics = [], []
     for n in ages:
         report = validate_closed_form(cfg, users, int(n), trials, scenario.seed)
         for term_row in report.rows():
             rows.append((int(n),) + term_row)
+        if np.isnan(report.signal_se):
+            stderr = "stderr needs at least 2 batches"
+        else:
+            stderr = "stderr " + " ".join(
+                f"{term}={_format_value(se)}"
+                for term, se in (
+                    ("signal", report.signal_se),
+                    ("variance", report.variance_se),
+                    ("interference", report.interference_se),
+                )
+            )
+        diagnostics.append(f"age {int(n)}: {stderr}; resamples={report.resamples}")
     return SweepResult(
         metadata=[
             scenario.metadata(),
             f"command: validate ages={list(ages)} trials={trials} seed={scenario.seed}",
+            *diagnostics,
         ],
         header=["age", "term", "empirical", "closed_form", "rel_err", "trials", "seed"],
         rows=rows,

@@ -62,7 +62,7 @@ class SystemConfig:
         if self.precoder not in (MF, ZF):
             raise ValueError(f"unknown precoder {self.precoder!r}")
         if self.precoder == ZF and self.M <= self.K:
-            raise ValueError("zero forcing requires M > K")
+            raise ValueError(f"zero forcing requires M > K, got M={self.M}, K={self.K}")
 
 
 def check_pilot_length(T: int, K: int, C: int) -> None:

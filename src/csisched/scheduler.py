@@ -21,7 +21,7 @@ import numpy as np
 
 from .ratemodel import SystemConfig, check_pilot_length
 
-_WRITE_CHUNK = 4096  # blocks per write_schedule chunk
+_CHUNK = 4096  # blocks per chunk of write_schedule and of the repeat check
 
 # Most user indices a schedule may hold (horizon * T, at least one per
 # block): 2 GiB of assignments, and a per-block loop of that length.
@@ -62,6 +62,21 @@ def interval_distribution(p: float) -> IntervalDistribution:
     return IntervalDistribution(n_low=n_low, weight_low=weight_low)
 
 
+def _repeats_a_user(assignments: np.ndarray) -> np.ndarray:
+    """Per block of a (horizon, T) assignment array: does a user appear twice?
+
+    Works _CHUNK blocks at a time, so any copy stays small beside a schedule
+    of millions of entries.  A chunk whose rows all increase strictly, as
+    build_schedule writes them, has no repeat and is not sorted."""
+    repeats = np.zeros(len(assignments), dtype=bool)
+    for start in range(0, len(assignments), _CHUNK):
+        chunk = assignments[start : start + _CHUNK]
+        if not (chunk[:, 1:] > chunk[:, :-1]).all():
+            ordered = np.sort(chunk, axis=1)
+            repeats[start : start + _CHUNK] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    return repeats
+
+
 @dataclass
 class Schedule:
     """Per-block pilot assignments: a (horizon, T) array of user indices,
@@ -76,6 +91,9 @@ class Schedule:
             raise ValueError(f"assignments must be a (horizon, T) array, not {a.ndim}-D")
         if a.size and (a.min() < 0 or a.max() >= self.num_users):
             raise ValueError(f"user index outside [0, {self.num_users})")
+        repeated = np.flatnonzero(_repeats_a_user(a))
+        if repeated.size:
+            raise ValueError(f"block {int(repeated[0])} trains a user twice")
 
     @property
     def horizon(self) -> int:
@@ -205,13 +223,13 @@ def exact_average_rate(schedule: Schedule, cfg: SystemConfig, tables) -> Schedul
 def write_schedule(schedule: Schedule, path) -> None:
     """Serialize as one line per block: block index, then the user indices.
 
-    Blocks are formatted _WRITE_CHUNK at a time, so the only copy of the
+    Blocks are formatted _CHUNK at a time, so the only copy of the
     assignments is one chunk with its block indices.
     """
     line = " ".join(["%d"] * (schedule.T + 1)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        for start in range(0, schedule.horizon, _WRITE_CHUNK):
-            rows = schedule.assignments[start : start + _WRITE_CHUNK]
+        for start in range(0, schedule.horizon, _CHUNK):
+            rows = schedule.assignments[start : start + _CHUNK]
             chunk = np.column_stack((np.arange(start, start + len(rows)), rows))
             fh.write("".join([line % tuple(r) for r in chunk.tolist()]))
 
@@ -246,11 +264,10 @@ def read_schedule(path, num_users: int | None = None) -> Schedule:
     if num_users is None:
         num_users = int(assignments.max()) + 1 if assignments.size else 0
     H = len(rows)
-    ordered = np.sort(assignments, axis=1)
     checks = (
         (table[:, 0] != np.arange(H), f"block indices must run 0..{H - 1} in order"),
         ((assignments < 0) | (assignments >= num_users), f"user index outside [0, {num_users})"),
-        (ordered[:, 1:] == ordered[:, :-1], "user repeated within the block"),
+        (_repeats_a_user(assignments), "user repeated within the block"),
     )
     bad_rows = []
     for bad, what in checks:

@@ -1,6 +1,6 @@
 """Monte Carlo validation of the closed-form aged-CSI SINR.
 
-Draws Gauss-Markov channels, builds MF/ZF precoders from stale estimates and
+Draws Gauss-Markov channels, precodes with MF/ZF from stale estimates and
 estimates the three moment terms of the SINR lower bound
 
     signal       snr * |E h^T v|^2
@@ -9,7 +9,15 @@ estimates the three moment terms of the SINR lower bound
 
 empirically, then compares the assembled SINR against the closed form.
 Trials run in fixed-size batches with per-batch child seeds, so results are
-bit-reproducible for a given seed and independent of processing order.
+bit-reproducible for a given seed and independent of processing order; the
+spread of the per-batch terms gives each term a batch-means standard error.
+
+A batch computes only the products h^T v_i its moments need: b = conj(H) h
+for the estimates H (rows h_i) and the aged true channel h, then
+b / sqrt(M) for MF and sqrt(M - K) solve(conj(G), b) for ZF, with
+G = H H^H.  Neither precoder matrix is formed.  A ZF draw whose Gram has a
+condition number above 1e12 is redrawn and counted; a Cholesky-based bound
+clears most draws, so the SVD of ``np.linalg.cond`` runs only on the rest.
 """
 
 from __future__ import annotations
@@ -28,8 +36,13 @@ MAX_TRIALS = 10**8
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) entries: real and imaginary parts each with variance 1/2."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """CN(0, 1) entries: real and imaginary parts each with variance 1/2.
+
+    One draw of interleaved (real, imaginary) pairs, viewed as complex."""
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    pairs = rng.standard_normal(shape + (2,))
+    pairs *= np.sqrt(0.5)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def evolve_channel(h: np.ndarray, rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -62,13 +75,47 @@ def zf_precoder(H_hat: np.ndarray) -> np.ndarray:
     """
     K, M = H_hat.shape[-2], H_hat.shape[-1]
     if M <= K:
-        raise ValueError("zero forcing requires M > K")
+        raise ValueError(f"zero forcing requires M > K, got M={M}, K={K}")
     Hc = np.conj(H_hat)
     gram = H_hat @ np.swapaxes(Hc, -1, -2)
-    if np.any(np.linalg.cond(gram) > _COND_LIMIT):
+    if _bad_draws(gram.reshape(-1, K, K)).any():
         raise np.linalg.LinAlgError("ill-conditioned Gram matrix")
     inv = np.linalg.solve(gram, np.broadcast_to(np.eye(K), gram.shape))
     return np.sqrt(M - K) * (np.swapaxes(Hc, -1, -2) @ inv)
+
+
+def _log_cond_bound(gram: np.ndarray) -> np.ndarray:
+    """Upper bounds on log cond(G) for a (n, K, K) stack of Hermitian
+    positive definite matrices; LinAlgError if a Cholesky factor fails.
+
+    With eigenvalues l_1 >= ... >= l_K, l_1 <= tr(G) and, by the AM-GM
+    inequality, l_1 ... l_{K-1} <= (tr(G) / (K - 1))^(K - 1), so
+    cond(G) = l_1 * (l_1 ... l_{K-1}) / det(G) is at most
+    tr(G) * (tr(G) / (K - 1))^(K - 1) / det(G), and det(G) is the squared
+    product of the Cholesky diagonal.
+    """
+    K = gram.shape[-1]
+    log_det = 2.0 * np.log(np.linalg.cholesky(gram).diagonal(axis1=-2, axis2=-1).real).sum(-1)
+    log_tr = np.log(gram.trace(axis1=-2, axis2=-1).real)
+    return log_tr + (K - 1) * (log_tr - np.log(max(K - 1, 1))) - log_det
+
+
+def _bad_draws(gram: np.ndarray) -> np.ndarray:
+    """Which matrices of a (n, K, K) stack of Gram matrices have
+    ``np.linalg.cond`` above _COND_LIMIT.
+
+    The Cholesky bound clears a matrix when it is at most _COND_LIMIT / e,
+    a margin far above its rounding; ``cond`` decides the rest, or the whole
+    stack when a factorization fails.
+    """
+    try:
+        unsure = _log_cond_bound(gram) > np.log(_COND_LIMIT) - 1.0
+    except np.linalg.LinAlgError:
+        return np.linalg.cond(gram) > _COND_LIMIT
+    bad = np.zeros(len(gram), dtype=bool)
+    if unsure.any():
+        bad[unsure] = np.linalg.cond(gram[unsure]) > _COND_LIMIT
+    return bad
 
 
 @dataclass
@@ -78,7 +125,10 @@ class MonteCarloReport:
     The ZF closed forms rest on the channel-hardening normalization (a
     deterministic sqrt(M - K) scale), whose per-draw fluctuation is
     O(1/(M - K)); ZF comparisons therefore warrant a looser band than MF,
-    whose moment identities are exact."""
+    whose moment identities are exact.
+
+    ``*_se`` are batch-means standard errors of the empirical terms (NaN
+    with fewer than two batches); ``resamples`` counts redrawn ZF draws."""
 
     trials: int
     seed: int
@@ -91,6 +141,9 @@ class MonteCarloReport:
     interference_cf: float
     sinr_emp: float
     sinr_cf: float
+    signal_se: float
+    variance_se: float
+    interference_se: float
 
     def rel_err(self, emp: float, cf: float) -> float:
         return abs(emp - cf) / cf if cf != 0.0 else abs(emp)
@@ -119,25 +172,38 @@ def _batch_moments(cfg, rho, age, rng, batch):
     K, M = cfg.K, cfg.M
     resamples = 0
     H_hat = complex_gaussian(rng, (batch, K, M))
-    if cfg.precoder == MF:
-        V = mf_precoder(H_hat)
-    else:
-        gram = H_hat @ np.conj(np.swapaxes(H_hat, -1, -2))
-        bad = np.linalg.cond(gram) > _COND_LIMIT
-        while np.any(bad):
-            resamples += int(bad.sum())
-            H_hat[bad] = complex_gaussian(rng, (int(bad.sum()), K, M))
-            gram = H_hat @ np.conj(np.swapaxes(H_hat, -1, -2))
-            bad = np.linalg.cond(gram) > _COND_LIMIT
-        inv = np.linalg.solve(gram, np.broadcast_to(np.eye(K), gram.shape))
-        V = np.sqrt(M - K) * (np.conj(np.swapaxes(H_hat, -1, -2)) @ inv)
+    if cfg.precoder != MF:
+        # conj(G): Hermitian positive definite like G, with its condition
+        # number, and the matrix the one-right-hand-side solve needs
+        gram_c = np.conj(H_hat) @ np.swapaxes(H_hat, -1, -2)
+        bad = _bad_draws(gram_c)
+        while bad.any():
+            redo = np.flatnonzero(bad)
+            resamples += redo.size
+            H_new = H_hat[redo] = complex_gaussian(rng, (redo.size, K, M))
+            gram_c[redo] = np.conj(H_new) @ np.swapaxes(H_new, -1, -2)
+            bad[redo] = _bad_draws(gram_c[redo])
     h_true = evolve_channel(H_hat[:, 0, :], rho, age, rng)
-    dots = np.einsum("bm,bmk->bk", h_true, V)
+    # b_i = h^T conj(h_hat_i), one matrix-vector product per trial
+    b = np.conj(H_hat @ np.conj(h_true)[:, :, None])
+    if cfg.precoder == MF:
+        dots = b[:, :, 0] / np.sqrt(M)
+    else:
+        dots = np.sqrt(M - K) * np.linalg.solve(gram_c, b)[:, :, 0]
     return (
         dots[:, 0].sum(),
         (np.abs(dots) ** 2).sum(axis=0),
         resamples,
     )
+
+
+def _moment_terms(snrs, mean_dot, mean_abs2):
+    """(signal, variance, interference) of user 0 from the mean of h^T v_0
+    and the means of |h^T v_i|^2."""
+    signal = snrs[0] * abs(mean_dot) ** 2
+    variance = snrs[0] * (mean_abs2[0] - abs(mean_dot) ** 2)
+    interference = float((snrs[1:] * mean_abs2[1:]).sum())
+    return signal, variance, interference
 
 
 def validate_closed_form(
@@ -147,9 +213,9 @@ def validate_closed_form(
     with the closed form at CSI age n.
 
     Per trial: draw a fresh estimated channel matrix, age user 0's true
-    channel by n blocks, build the precoder from the estimates and
-    accumulate h^T v products.  Ill-conditioned ZF draws are resampled and
-    counted.
+    channel by n blocks and accumulate its products with the precoder built
+    from the estimates.  Ill-conditioned ZF draws are resampled and counted.
+    Each batch's own moment terms give the batch-means standard errors.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials={trials} outside [1, {MAX_TRIALS}]")
@@ -165,24 +231,31 @@ def validate_closed_form(
     sum_dot = 0.0 + 0.0j
     sum_abs2 = np.zeros(K)
     resamples = 0
-    done = 0
+    n_batches = -(-trials // _BATCH)
+    sizes = np.full(n_batches, _BATCH)
+    sizes[-1] = trials - _BATCH * (n_batches - 1)
+    batch_terms = np.empty((n_batches, 3))
     root = np.random.SeedSequence(seed)
-    for _ in range((trials + _BATCH - 1) // _BATCH):
+    for i, batch in enumerate(sizes):
         # one child per batch: the children of an up-front spawn, never all held
-        batch = min(_BATCH, trials - done)
         rng = np.random.default_rng(root.spawn(1)[0])
-        s_dot, s_abs2, res = _batch_moments(cfg, user.rho, n, rng, batch)
+        s_dot, s_abs2, res = _batch_moments(cfg, user.rho, n, rng, int(batch))
         sum_dot += s_dot
         sum_abs2 += s_abs2
         resamples += res
-        done += batch
+        batch_terms[i] = _moment_terms(snrs, s_dot / batch, s_abs2 / batch)
 
-    mean_dot = sum_dot / trials
-    mean_abs2 = sum_abs2 / trials
-    signal_emp = user.snr * abs(mean_dot) ** 2
-    variance_emp = user.snr * (mean_abs2[0] - abs(mean_dot) ** 2)
-    interference_emp = float((snrs[1:] * mean_abs2[1:]).sum())
+    signal_emp, variance_emp, interference_emp = _moment_terms(
+        snrs, sum_dot / trials, sum_abs2 / trials
+    )
     sinr_emp = signal_emp / (1.0 + variance_emp + interference_emp)
+    # batch means: a batch of b trials has variance sigma^2 / b, estimated
+    # from the size-weighted spread of the batch terms about their mean
+    if n_batches < 2:
+        stderr = np.full(3, np.nan)
+    else:
+        spread = batch_terms - np.average(batch_terms, axis=0, weights=sizes)
+        stderr = np.sqrt(sizes @ spread**2 / ((n_batches - 1) * trials))
 
     decay = user.rho ** (2.0 * n)
     interference_others = float(snrs[1:].sum())
@@ -207,6 +280,9 @@ def validate_closed_form(
         interference_cf=interference_cf,
         sinr_emp=float(sinr_emp),
         sinr_cf=float(sinr_cf),
+        signal_se=float(stderr[0]),
+        variance_se=float(stderr[1]),
+        interference_se=float(stderr[2]),
     )
 
 

@@ -179,6 +179,18 @@ class TestCommands:
         sinr_rows = [r for r in res.rows if r[1] == "sinr"]
         assert all(r[4] < 0.2 for r in sinr_rows)
 
+    def test_validate_metadata_reports_stderr_and_resamples(self, scenario_file):
+        sc = load_scenario(scenario_file)
+        meta = cmd_validate(sc, [0, 2], trials=600).metadata
+        stderr = [m for m in meta if m.startswith("age ")]
+        assert [m.split(":")[0] for m in stderr] == ["age 0", "age 2"]
+        for line in stderr:
+            assert re.fullmatch(
+                r"age \d: stderr signal=\S+ variance=\S+ interference=\S+; resamples=0", line
+            )
+        one_batch = cmd_validate(sc, [1], trials=256).metadata
+        assert "age 1: stderr needs at least 2 batches; resamples=0" in one_batch
+
     def test_schedule_outputs(self, scenario_file):
         sc = load_scenario(scenario_file)
         schedule, res = cmd_schedule(sc, T=3, horizon=200)
@@ -338,6 +350,25 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("csisched:") and "snr" in err and err.count("\n") == 1
+        assert len(calls) == 0
+
+    def test_sweep_users_rejects_a_bad_count_before_any_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        search = cli.optimize_pilot_length
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(cli, "optimize_pilot_length", counted)
+        path = tmp_path / "zf.txt"
+        path.write_text("M = 64\nprecoder = zf\n")
+        argv = ["sweep-users", "--scenario", str(path), "--user-counts", "5,64"]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csisched:") and "M=64, K=64" in err and err.count("\n") == 1
         assert len(calls) == 0
 
     @pytest.mark.parametrize(

@@ -259,8 +259,18 @@ class TestExactAverageRate:
             with pytest.raises(ValueError, match=re.escape("(horizon, T) array")):
                 Schedule(num_users=2, assignments=rows)
 
+    def test_rejects_a_user_trained_twice_in_a_block(self):
+        # The replay would discount by 1 - T/C for T = 2 while training one
+        # user per block.
+        with pytest.raises(ValueError, match="block 1 trains a user twice"):
+            Schedule(num_users=3, assignments=[[0, 1], [2, 2], [1, 1]])
+        rows = np.tile([1, 0], (10_000, 1))  # unsorted rows are fine
+        rows[9_000] = [2, 2]
+        with pytest.raises(ValueError, match="block 9000 trains a user twice"):
+            Schedule(num_users=3, assignments=rows)
+
     def test_horizon_and_t_come_from_the_array(self):
-        sched = Schedule(num_users=3, assignments=np.zeros((5, 2), dtype=int))
+        sched = Schedule(num_users=3, assignments=np.tile([0, 2], (5, 1)))
         assert (sched.horizon, sched.T) == (5, 2)
 
     def test_rejects_tables_of_another_user_set(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csisched import simulator
 from csisched.ratemodel import MF, ZF, SystemConfig, UserLink, sinr, total_snr
@@ -25,6 +27,11 @@ class TestChannelModel:
         # circular symmetry: real/imag parts each carry half the power
         assert np.var(h.real) == pytest.approx(0.5, abs=0.01)
         assert np.var(h.imag) == pytest.approx(0.5, abs=0.01)
+
+    def test_one_draw_of_interleaved_pairs(self):
+        z = complex_gaussian(np.random.default_rng(8), (3, 2))
+        pairs = np.random.default_rng(8).standard_normal((3, 2, 2)) * np.sqrt(0.5)
+        assert np.array_equal(z, pairs[..., 0] + 1j * pairs[..., 1])
 
     def test_zero_age_is_identity(self):
         rng = np.random.default_rng(2)
@@ -132,6 +139,79 @@ class TestPrecoders:
         with pytest.raises(ValueError):
             zf_precoder(complex_gaussian(rng, (8, 8)))
 
+    def test_zf_rejects_singular_gram(self):
+        H = complex_gaussian(np.random.default_rng(16), (4, 16))
+        H[2] = H[1]
+        with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+            zf_precoder(H)
+
+
+class TestKernel:
+    """The batch kernel against the explicit precoders, and the conditioning
+    screen against ``np.linalg.cond``."""
+
+    @pytest.mark.parametrize("precoder", [MF, ZF])
+    @pytest.mark.parametrize("age", [0, 3])
+    def test_batch_matches_explicit_precoder(self, precoder, age):
+        cfg = SystemConfig(M=12, K=5, C=50, precoder=precoder)
+        s_dot, s_abs2, resamples = simulator._batch_moments(
+            cfg, 0.9, age, np.random.default_rng(31), 64
+        )
+        rng = np.random.default_rng(31)
+        H = complex_gaussian(rng, (64, 5, 12))
+        V = mf_precoder(H) if precoder == MF else zf_precoder(H)
+        dots = np.einsum("bm,bmk->bk", evolve_channel(H[:, 0, :], 0.9, age, rng), V)
+        assert resamples == 0
+        assert s_dot == pytest.approx(dots[:, 0].sum(), rel=1e-10)
+        assert np.allclose(s_abs2, (np.abs(dots) ** 2).sum(axis=0), rtol=1e-10, atol=1e-20)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(
+        K=st.integers(1, 12),
+        extra=st.integers(1, 24),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(K=40, extra=1, duplicate=False, seed=0)  # bound above the cut, cond below
+    def test_log_bound_covers_log_cond(self, K, extra, duplicate, seed):
+        # near-square (extra = 1) and nearly rank-deficient Grams: a row
+        # repeated with 1e-7 noise puts cond near 1e15
+        rng = np.random.default_rng(seed)
+        H = complex_gaussian(rng, (8, K, K + extra))
+        if duplicate:
+            H[:, -1] = H[:, 0] + 1e-7 * complex_gaussian(rng, (8, K + extra))
+        gram = H @ np.conj(np.swapaxes(H, -1, -2))
+        cond = np.linalg.cond(gram)
+        assert np.array_equal(simulator._bad_draws(gram), cond > simulator._COND_LIMIT)
+        try:
+            bound = simulator._log_cond_bound(gram)
+        except np.linalg.LinAlgError:
+            return  # the whole stack went to cond, checked above
+        # exact up to rounding: about eps * K * cond from the smallest
+        # eigenvalue, 3e-3 at the screen's cut (K=40, cond near 4e11) against
+        # its margin of 1, plus 1e-12 for the sums of logs
+        assert np.all(bound >= np.log(cond) - np.finfo(float).eps * K * cond - 1e-12)
+
+    def test_ill_conditioned_draw_is_redrawn_and_counted(self, monkeypatch):
+        draw = simulator.complex_gaussian
+        shapes = []
+
+        def first_draw_singular(rng, shape):
+            z = draw(rng, shape)
+            if not shapes:
+                z[0, 1] = z[0, 0]  # trial 0 has two equal estimates
+            shapes.append(shape)
+            return z
+
+        monkeypatch.setattr(simulator, "complex_gaussian", first_draw_singular)
+        cfg = SystemConfig(M=16, K=4, C=50, precoder=ZF)
+        users = [UserLink(snr=2.0, rho=0.7)] * 4
+        rep = validate_closed_form(cfg, users, 0, trials=300, seed=23)
+        assert rep.resamples == 1
+        assert shapes == [(256, 4, 16), (1, 4, 16), (44, 4, 16)]
+        # the singular draw took no part: age 0 stays exact
+        assert rep.sinr_emp == pytest.approx(rep.sinr_cf, rel=1e-9)
+
 
 class TestValidateClosedForm:
     def test_mf_moments_small_run(self):
@@ -162,6 +242,22 @@ class TestValidateClosedForm:
         rep = validate_closed_form(cfg, users, 0, trials=2000, seed=23)
         # age 0: the estimate is the channel, so every term is deterministic
         assert rep.sinr_emp == pytest.approx(rep.sinr_cf, rel=1e-9)
+
+    @pytest.mark.parametrize("precoder, M, K", [(MF, 32, 4), (ZF, 24, 8)])
+    def test_terms_within_six_standard_errors(self, precoder, M, K):
+        cfg = SystemConfig(M=M, K=K, C=50, precoder=precoder)
+        users = [UserLink(snr=4.0, rho=0.8)] * K
+        rep = validate_closed_form(cfg, users, 2, trials=20_000, seed=24)
+        for term in ("signal", "variance", "interference"):
+            emp, cf, se = (getattr(rep, f"{term}_{part}") for part in ("emp", "cf", "se"))
+            assert 0.0 < se < 0.05 * cf, term
+            assert abs(emp - cf) <= 6.0 * se, term
+
+    def test_one_batch_has_no_standard_error(self):
+        cfg = SystemConfig(M=16, K=3, C=50, precoder=MF)
+        users = [UserLink(snr=1.0, rho=0.9)] * 3
+        rep = validate_closed_form(cfg, users, 1, trials=256, seed=5)
+        assert np.isnan([rep.signal_se, rep.variance_se, rep.interference_se]).all()
 
     def test_reproducible_reports(self):
         cfg = SystemConfig(M=16, K=3, C=50, precoder=MF)
