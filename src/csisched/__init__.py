@@ -41,7 +41,5 @@ from .simulator import (
     autocorrelation_check,
     complex_gaussian,
     evolve_channel,
-    mf_precoder,
     validate_closed_form,
-    zf_precoder,
 )

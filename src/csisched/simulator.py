@@ -1,7 +1,7 @@
 """Monte Carlo validation of the closed-form aged-CSI SINR.
 
-Draws Gauss-Markov channels, precodes with MF/ZF from stale estimates and
-estimates the three moment terms of the SINR lower bound
+Estimates the three moment terms of the SINR lower bound for user 0, under
+Gauss-Markov channel aging and MF/ZF precoders built from stale estimates,
 
     signal       snr * |E h^T v|^2
     variance     snr * (E|h^T v|^2 - |E h^T v|^2)
@@ -12,11 +12,21 @@ Trials run in fixed-size batches with per-batch child seeds, so results are
 bit-reproducible for a given seed and independent of processing order; the
 spread of the per-batch terms gives each term a batch-means standard error.
 
-A batch computes only the products h^T v_i its moments need: b = conj(H) h
-for the estimates H (rows h_i) and the aged true channel h, then
-b / sqrt(M) for MF and sqrt(M - K) solve(conj(G), b) for ZF, with
-G = H H^H.  Neither precoder matrix is formed.  A ZF draw whose Gram has a
-condition number above 1e12 is redrawn and counted; a Cholesky-based bound
+A trial draws only what its products h^T v_i depend on.  For estimates H
+(K x M, rows h_i, CN(0, 1) entries) and the aged true channel
+h = rho^n h_0 + s e, s = sqrt(1 - rho^(2n)), both precoders read
+b = conj(H) h, and ZF also conj(G) = conj(H) H^T.  conj(G) is complex
+Wishart; its Cholesky factor L is drawn directly (Bartlett decomposition:
+|L_ii|^2 ~ Gamma(M - i, 1), L_ij ~ CN(0, 1) below the diagonal), and given
+L, conj(H) e is L z with z ~ CN(0, I).  With conj(G)[:, 0] = L_00 L[:, 0],
+
+    MF   h^T v_i = (rho^n L_00 L[:, 0] + s L z)_i / sqrt(M)
+    ZF   h^T v_i = sqrt(M - K) (rho^n e_0 + s L^-H z)_i
+
+so a trial draws K (K + 1) / 2 + K values, not K M + M, and ZF takes one
+back substitution.  MF allows K >= M, where conj(G) has rank M: L is then
+K x M lower trapezoidal, its rows i >= M all CN(0, 1).  A ZF draw with
+cond(L L^H) above 1e12 is redrawn and counted; a bound read from the factor
 clears most draws, so the SVD of ``np.linalg.cond`` runs only on the rest.
 """
 
@@ -57,64 +67,54 @@ def evolve_channel(h: np.ndarray, rho: float, n: int, rng: np.random.Generator) 
     return decay * h + np.sqrt(1.0 - decay * decay) * complex_gaussian(rng, h.shape)
 
 
-def mf_precoder(H_hat: np.ndarray) -> np.ndarray:
-    """Matched filter columns v_k = conj(h_hat_k) / sqrt(M).
+def _bartlett_factor(rng: np.random.Generator, n: int, K: int, M: int) -> np.ndarray:
+    """n draws of the Cholesky factor L of conj(G) for K x M estimates with
+    CN(0, 1) entries: a (n, K, min(K, M)) stack, lower triangular for K < M
+    and lower trapezoidal for K >= M.
 
-    ``H_hat`` holds user channels as rows (..., K, M); returns (..., M, K).
-    """
-    M = H_hat.shape[-1]
-    return np.conj(np.swapaxes(H_hat, -1, -2)) / np.sqrt(M)
-
-
-def zf_precoder(H_hat: np.ndarray) -> np.ndarray:
-    """Zero-forcing columns with deterministic normalization sqrt(M - K).
-
-    Solves K linear systems against the K x K Gram matrix instead of forming
-    an explicit inverse; h_hat_j^T v_k = sqrt(M - K) delta_jk up to rounding.
-    Raises on M <= K or a Gram condition number above 1e12.
-    """
-    K, M = H_hat.shape[-2], H_hat.shape[-1]
-    if M <= K:
-        raise ValueError(f"zero forcing requires M > K, got M={M}, K={K}")
-    Hc = np.conj(H_hat)
-    gram = H_hat @ np.swapaxes(Hc, -1, -2)
-    if _bad_draws(gram.reshape(-1, K, K)).any():
-        raise np.linalg.LinAlgError("ill-conditioned Gram matrix")
-    inv = np.linalg.solve(gram, np.broadcast_to(np.eye(K), gram.shape))
-    return np.sqrt(M - K) * (np.swapaxes(Hc, -1, -2) @ inv)
+    The entries below the diagonal come from one ``complex_gaussian`` draw
+    in row order; the diagonal holds sqrt(Gamma(M - i, 1)) draws, real and
+    positive."""
+    cols = min(K, M)
+    rows, lower = np.tril_indices(K, -1, cols)
+    L = np.zeros((n, K, cols), dtype=np.complex128)
+    L[:, rows, lower] = complex_gaussian(rng, (n, rows.size))
+    diag = np.arange(cols)
+    L[:, diag, diag] = np.sqrt(rng.standard_gamma(M - diag, size=(n, cols)))
+    return L
 
 
-def _log_cond_bound(gram: np.ndarray) -> np.ndarray:
-    """Upper bounds on log cond(G) for a (n, K, K) stack of Hermitian
-    positive definite matrices; LinAlgError if a Cholesky factor fails.
+def _log_cond_bound(L: np.ndarray) -> np.ndarray:
+    """Upper bounds on log cond(L L^H) for a (n, K, K) stack of lower
+    triangular factors with real nonnegative diagonals; +inf where a
+    diagonal entry is zero.
 
-    With eigenvalues l_1 >= ... >= l_K, l_1 <= tr(G) and, by the AM-GM
-    inequality, l_1 ... l_{K-1} <= (tr(G) / (K - 1))^(K - 1), so
+    With eigenvalues l_1 >= ... >= l_K of G = L L^H, l_1 <= tr(G) and, by
+    the AM-GM inequality, l_1 ... l_{K-1} <= (tr(G) / (K - 1))^(K - 1), so
     cond(G) = l_1 * (l_1 ... l_{K-1}) / det(G) is at most
-    tr(G) * (tr(G) / (K - 1))^(K - 1) / det(G), and det(G) is the squared
-    product of the Cholesky diagonal.
+    tr(G) * (tr(G) / (K - 1))^(K - 1) / det(G), where tr(G) is the squared
+    Frobenius norm of L and det(G) the squared product of its diagonal.
     """
-    K = gram.shape[-1]
-    log_det = 2.0 * np.log(np.linalg.cholesky(gram).diagonal(axis1=-2, axis2=-1).real).sum(-1)
-    log_tr = np.log(gram.trace(axis1=-2, axis2=-1).real)
+    K = L.shape[-1]
+    pairs = L.reshape(len(L), -1).view(np.float64)
+    log_tr = np.log(np.einsum("ij,ij->i", pairs, pairs))
+    with np.errstate(divide="ignore"):
+        log_det = 2.0 * np.log(L.diagonal(axis1=-2, axis2=-1).real).sum(-1)
     return log_tr + (K - 1) * (log_tr - np.log(max(K - 1, 1))) - log_det
 
 
-def _bad_draws(gram: np.ndarray) -> np.ndarray:
-    """Which matrices of a (n, K, K) stack of Gram matrices have
-    ``np.linalg.cond`` above _COND_LIMIT.
+def _bad_draws(L: np.ndarray) -> np.ndarray:
+    """Which factors of a (n, K, K) stack have ``np.linalg.cond(L L^H)``
+    above _COND_LIMIT.
 
-    The Cholesky bound clears a matrix when it is at most _COND_LIMIT / e,
-    a margin far above its rounding; ``cond`` decides the rest, or the whole
-    stack when a factorization fails.
+    The bound clears a factor when it is at most _COND_LIMIT / e, a margin
+    far above its rounding; ``cond`` decides the rest.
     """
-    try:
-        unsure = _log_cond_bound(gram) > np.log(_COND_LIMIT) - 1.0
-    except np.linalg.LinAlgError:
-        return np.linalg.cond(gram) > _COND_LIMIT
-    bad = np.zeros(len(gram), dtype=bool)
-    if unsure.any():
-        bad[unsure] = np.linalg.cond(gram[unsure]) > _COND_LIMIT
+    unsure = np.flatnonzero(_log_cond_bound(L) > np.log(_COND_LIMIT) - 1.0)
+    bad = np.zeros(len(L), dtype=bool)
+    if unsure.size:
+        rest = L[unsure]
+        bad[unsure] = np.linalg.cond(rest @ np.conj(np.swapaxes(rest, -1, -2))) > _COND_LIMIT
     return bad
 
 
@@ -166,35 +166,60 @@ class MonteCarloReport:
         return out
 
 
+def _back_substitute(L: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x with L^H x = z for a (n, K, K) stack of lower triangular factors
+    and (n, K) right-hand sides: one pass over the rows, from the last,
+    for all n at once."""
+    x = z.copy()
+    diag = L.diagonal(axis1=-2, axis2=-1).real
+    for j in range(L.shape[-1] - 1, -1, -1):
+        x[:, j] /= diag[:, j]
+        x[:, :j] -= np.conj(L[:, j, :j]) * x[:, j, None]
+    return x
+
+
+def _dots(cfg, L, decay, w):
+    """h^T v_i per trial and user from the factor L of conj(G), the decay
+    rho^n and w = s z, the aged part of conj(H) h in L's coordinates (None
+    at age 0)."""
+    if cfg.precoder == MF:
+        b = decay * L[:, :1, 0].real * L[:, :, 0]
+        if w is not None:
+            b += (L @ w[:, :, None])[:, :, 0]
+        return b / np.sqrt(cfg.M)
+    dots = np.zeros(L.shape[:2], dtype=np.complex128) if w is None else _back_substitute(L, w)
+    dots[:, 0] += decay
+    return np.sqrt(cfg.M - cfg.K) * dots
+
+
 def _batch_moments(cfg, rho, age, rng, batch):
     """One batch of trials for user 0 with correlation rho; returns
     (sum h^T v_0, sum |h^T v_i|^2 per i, number of resampled draws)."""
     K, M = cfg.K, cfg.M
     resamples = 0
-    H_hat = complex_gaussian(rng, (batch, K, M))
+    L = _bartlett_factor(rng, batch, K, M)
     if cfg.precoder != MF:
-        # conj(G): Hermitian positive definite like G, with its condition
-        # number, and the matrix the one-right-hand-side solve needs
-        gram_c = np.conj(H_hat) @ np.swapaxes(H_hat, -1, -2)
-        bad = _bad_draws(gram_c)
+        bad = _bad_draws(L)
         while bad.any():
             redo = np.flatnonzero(bad)
             resamples += redo.size
-            H_new = H_hat[redo] = complex_gaussian(rng, (redo.size, K, M))
-            gram_c[redo] = np.conj(H_new) @ np.swapaxes(H_new, -1, -2)
-            bad[redo] = _bad_draws(gram_c[redo])
-    h_true = evolve_channel(H_hat[:, 0, :], rho, age, rng)
-    # b_i = h^T conj(h_hat_i), one matrix-vector product per trial
-    b = np.conj(H_hat @ np.conj(h_true)[:, :, None])
-    if cfg.precoder == MF:
-        dots = b[:, :, 0] / np.sqrt(M)
-    else:
-        dots = np.sqrt(M - K) * np.linalg.solve(gram_c, b)[:, :, 0]
+            L[redo] = _bartlett_factor(rng, redo.size, K, M)
+            bad[redo] = _bad_draws(L[redo])
+    decay = rho**age
+    w = None
+    if age > 0:
+        w = np.sqrt(1.0 - decay * decay) * complex_gaussian(rng, (batch, L.shape[-1]))
+    dots = _dots(cfg, L, decay, w)
     return (
         dots[:, 0].sum(),
         (np.abs(dots) ** 2).sum(axis=0),
         resamples,
     )
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be nonnegative")
 
 
 def _moment_terms(snrs, mean_dot, mean_abs2):
@@ -212,13 +237,15 @@ def validate_closed_form(
     """Estimate the SINR moment terms of user 0 by Monte Carlo and compare
     with the closed form at CSI age n.
 
-    Per trial: draw a fresh estimated channel matrix, age user 0's true
-    channel by n blocks and accumulate its products with the precoder built
-    from the estimates.  Ill-conditioned ZF draws are resampled and counted.
-    Each batch's own moment terms give the batch-means standard errors.
+    Per trial: draw the Cholesky factor of a fresh estimates' Gram matrix
+    and the aged part of user 0's true channel n blocks on, and accumulate
+    the products of that channel with the precoder built from the
+    estimates.  Ill-conditioned ZF draws are resampled and counted.  Each
+    batch's own moment terms give the batch-means standard errors.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials={trials} outside [1, {MAX_TRIALS}]")
+    _check_seed(seed)
     K = cfg.K
     if len(users) != K:
         raise ValueError("user list does not match cfg.K")
@@ -294,6 +321,11 @@ def autocorrelation_check(rho: float, max_n: int, samples: int, seed: int) -> np
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
+    if max_n < 0:
+        raise ValueError(f"max_n={max_n} must be nonnegative")
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     z0 = complex_gaussian(rng, samples)
     z = z0

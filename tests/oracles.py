@@ -3,15 +3,17 @@
 These deliberately avoid the library's own algorithms: the projection oracle
 enumerates pin patterns, the interval oracle scans explicit distributions,
 the grid oracle exhausts the feasible simplex, the per-T water-fill sorts
-every budget's segments anew, and the replay oracle walks a schedule block by
-block.
+every budget's segments anew, the replay oracle walks a schedule block by
+block, and the raw-channel Monte Carlo kernel draws every estimate and
+precodes with explicit MF/ZF matrices.
 """
 
 import itertools
 
 import numpy as np
 
-from csisched.ratemodel import TAIL_EPSILON, g_extended, s_of_p
+from csisched import simulator
+from csisched.ratemodel import MF, TAIL_EPSILON, g_extended, s_of_p
 
 
 def projection_oracle(x, T):
@@ -194,3 +196,45 @@ def block_replay(schedule, tables):
         values, counts = np.unique(gaps, return_counts=True)
         hists.append({int(v): c / gaps.size for v, c in zip(values, counts)})
     return freq, hists, totals / H
+
+
+def mf_precoder(H_hat):
+    """Matched filter columns v_k = conj(h_hat_k) / sqrt(M).
+
+    ``H_hat`` holds user channels as rows (..., K, M); returns (..., M, K).
+    """
+    M = H_hat.shape[-1]
+    return np.conj(np.swapaxes(H_hat, -1, -2)) / np.sqrt(M)
+
+
+def zf_precoder(H_hat):
+    """Zero-forcing columns with deterministic normalization sqrt(M - K).
+
+    Solves K linear systems against the K x K Gram matrix instead of forming
+    an explicit inverse; h_hat_j^T v_k = sqrt(M - K) delta_jk up to rounding.
+    Raises LinAlgError when a Gram matrix has no Cholesky factor or the
+    simulator's conditioning rule rejects it.
+    """
+    K, M = H_hat.shape[-2], H_hat.shape[-1]
+    Hc = np.conj(H_hat)
+    gram = H_hat @ np.swapaxes(Hc, -1, -2)
+    try:
+        factors = np.linalg.cholesky(gram.reshape(-1, K, K))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("ill-conditioned Gram matrix") from None
+    if simulator._bad_draws(factors).any():
+        raise np.linalg.LinAlgError("ill-conditioned Gram matrix")
+    inv = np.linalg.solve(gram, np.broadcast_to(np.eye(K), gram.shape))
+    return np.sqrt(M - K) * (np.swapaxes(Hc, -1, -2) @ inv)
+
+
+def raw_channel_moments(cfg, rho, age, rng, batch):
+    """The simulator's batch kernel done the long way: draw the K x M
+    estimates, age user 0's channel and take its products with the explicit
+    precoder.  Returns (sum h^T v_0, sum |h^T v_i|^2 per i, 0); a ZF draw
+    that the conditioning rule rejects raises instead of being redrawn."""
+    H = simulator.complex_gaussian(rng, (batch, cfg.K, cfg.M))
+    V = mf_precoder(H) if cfg.precoder == MF else zf_precoder(H)
+    h = simulator.evolve_channel(H[:, 0, :], rho, age, rng)
+    dots = np.einsum("bm,bmk->bk", h, V)
+    return dots[:, 0].sum(), (np.abs(dots) ** 2).sum(axis=0), 0

@@ -1,8 +1,4 @@
-"""The fast demos run to a clean exit.
-
-monte_carlo_validation.py is left out: it takes about half a minute and runs
-the Monte Carlo path that acceptance criteria 01 and 02 already cover.
-"""
+"""Every demo runs to a clean exit."""
 
 import os
 import subprocess
@@ -16,6 +12,7 @@ DEMOS = [
     "aged_rate_curves.py",
     "frequency_vs_correlation.py",
     "interval_law_and_schedule.py",
+    "monte_carlo_validation.py",
     "sum_rate_vs_pilot_length.py",
     "sum_rate_vs_user_count.py",
 ]

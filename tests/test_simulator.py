@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import mf_precoder, raw_channel_moments, zf_precoder
 
 from csisched import simulator
 from csisched.ratemodel import MF, ZF, SystemConfig, UserLink, sinr, total_snr
@@ -12,10 +13,10 @@ from csisched.simulator import (
     autocorrelation_check,
     complex_gaussian,
     evolve_channel,
-    mf_precoder,
     validate_closed_form,
-    zf_precoder,
 )
+
+TERMS = ("signal", "variance", "interference")
 
 
 class TestChannelModel:
@@ -87,6 +88,13 @@ class TestAutocorrelation:
         for lag in range(5):
             assert corr[lag] == pytest.approx(0.75**lag, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "max_n, samples, seed, name", [(3, 0, 1, "samples"), (-1, 10, 1, "max_n"), (3, 10, -1, "seed")]
+    )
+    def test_rejects_bad_arguments(self, max_n, samples, seed, name):
+        with pytest.raises(ValueError, match=name):
+            autocorrelation_check(0.9, max_n, samples, seed)
+
 
 class TestPrecoders:
     def test_mf_columns_are_scaled_conjugates(self):
@@ -135,9 +143,9 @@ class TestPrecoders:
         assert np.allclose(ratio, ratio[0, 0])
 
     def test_zf_rejects_square_or_fat(self):
-        rng = np.random.default_rng(15)
-        with pytest.raises(ValueError):
-            zf_precoder(complex_gaussian(rng, (8, 8)))
+        for M in (7, 8):
+            with pytest.raises(ValueError, match="M > K"):
+                SystemConfig(M=M, K=8, C=50, precoder=ZF)
 
     def test_zf_rejects_singular_gram(self):
         H = complex_gaussian(np.random.default_rng(16), (4, 16))
@@ -147,23 +155,67 @@ class TestPrecoders:
 
 
 class TestKernel:
-    """The batch kernel against the explicit precoders, and the conditioning
-    screen against ``np.linalg.cond``."""
+    """The batch kernel against the explicit precoders and the raw-channel
+    kernel of the oracles, and the conditioning screen against
+    ``np.linalg.cond``."""
 
     @pytest.mark.parametrize("precoder", [MF, ZF])
     @pytest.mark.parametrize("age", [0, 3])
     def test_batch_matches_explicit_precoder(self, precoder, age):
+        # fixed estimates H and innovation e: with L = chol(conj(G)) and
+        # z = L^-1 conj(H) e the dot formulas are exact algebra
         cfg = SystemConfig(M=12, K=5, C=50, precoder=precoder)
-        s_dot, s_abs2, resamples = simulator._batch_moments(
-            cfg, 0.9, age, np.random.default_rng(31), 64
-        )
         rng = np.random.default_rng(31)
         H = complex_gaussian(rng, (64, 5, 12))
+        e = complex_gaussian(rng, (64, 12))
+        decay = 0.9**age
+        spread = np.sqrt(1.0 - decay * decay)
+        L = np.linalg.cholesky(np.conj(H) @ np.swapaxes(H, -1, -2))
+        z = np.linalg.solve(L, (np.conj(H) @ e[:, :, None]))[:, :, 0]
+        dots = simulator._dots(cfg, L, decay, spread * z if age else None)
         V = mf_precoder(H) if precoder == MF else zf_precoder(H)
-        dots = np.einsum("bm,bmk->bk", evolve_channel(H[:, 0, :], 0.9, age, rng), V)
-        assert resamples == 0
-        assert s_dot == pytest.approx(dots[:, 0].sum(), rel=1e-10)
-        assert np.allclose(s_abs2, (np.abs(dots) ** 2).sum(axis=0), rtol=1e-10, atol=1e-20)
+        expected = np.einsum("bm,bmk->bk", decay * H[:, 0, :] + spread * e, V)
+        assert np.allclose(dots, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("K, M", [(6, 10), (6, 4)])
+    def test_bartlett_factor_moments(self, K, M):
+        n = 20_000
+        L = simulator._bartlett_factor(np.random.default_rng(32), n, K, M)
+        cols = min(K, M)
+        assert L.shape == (n, K, cols)
+        assert np.array_equal(L, np.tril(L))
+        diag = L.diagonal(axis1=-2, axis2=-1)
+        assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+        # |L_ii|^2 ~ Gamma(M - i, 1) has mean and variance M - i
+        shape = M - np.arange(cols)
+        mean_sq = (diag.real**2).mean(axis=0)
+        assert np.all(np.abs(mean_sq - shape) <= 6.0 * np.sqrt(shape / n))
+        # conj(G) = L L^H has mean M I; each entry's variance is at most M
+        gram = L @ np.conj(np.swapaxes(L, -1, -2))
+        assert np.all(np.abs(gram.mean(axis=0) - M * np.eye(K)) <= 6.0 * np.sqrt(M / n))
+
+    @pytest.mark.parametrize(
+        "precoder, M, K, rho, age",
+        [
+            (ZF, 64, 40, 0.8, 2),
+            (ZF, 41, 40, 0.9, 1),
+            (ZF, 24, 8, 0.8, 3),
+            (MF, 64, 40, 0.8, 2),
+            (MF, 4, 6, 0.8, 2),
+            (MF, 6, 6, 0.8, 2),
+        ],
+    )
+    def test_terms_agree_with_raw_channel_kernel(self, monkeypatch, precoder, M, K, rho, age):
+        cfg = SystemConfig(M=M, K=K, C=50, precoder=precoder)
+        users = [UserLink(snr=4.0, rho=rho)] * K
+        rep = validate_closed_form(cfg, users, age, trials=5120, seed=41)
+        monkeypatch.setattr(simulator, "_batch_moments", raw_channel_moments)
+        ref = validate_closed_form(cfg, users, age, trials=5120, seed=42)
+        for term in TERMS:
+            emp, cf, se = (getattr(rep, f"{term}_{part}") for part in ("emp", "cf", "se"))
+            ref_emp, ref_se = getattr(ref, f"{term}_emp"), getattr(ref, f"{term}_se")
+            assert abs(emp - cf) <= 6.0 * se, term
+            assert abs(emp - ref_emp) <= 6.0 * np.hypot(se, ref_se), term
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(
@@ -180,36 +232,43 @@ class TestKernel:
         H = complex_gaussian(rng, (8, K, K + extra))
         if duplicate:
             H[:, -1] = H[:, 0] + 1e-7 * complex_gaussian(rng, (8, K + extra))
-        gram = H @ np.conj(np.swapaxes(H, -1, -2))
-        cond = np.linalg.cond(gram)
-        assert np.array_equal(simulator._bad_draws(gram), cond > simulator._COND_LIMIT)
         try:
-            bound = simulator._log_cond_bound(gram)
+            L = np.linalg.cholesky(H @ np.conj(np.swapaxes(H, -1, -2)))
         except np.linalg.LinAlgError:
-            return  # the whole stack went to cond, checked above
+            return  # no factor to screen
+        cond = np.linalg.cond(L @ np.conj(np.swapaxes(L, -1, -2)))
+        assert np.array_equal(simulator._bad_draws(L), cond > simulator._COND_LIMIT)
+        bound = simulator._log_cond_bound(L)
         # exact up to rounding: about eps * K * cond from the smallest
         # eigenvalue, 3e-3 at the screen's cut (K=40, cond near 4e11) against
         # its margin of 1, plus 1e-12 for the sums of logs
         assert np.all(bound >= np.log(cond) - np.finfo(float).eps * K * cond - 1e-12)
 
+    def test_zero_or_subnormal_diagonal_is_bad(self):
+        L = simulator._bartlett_factor(np.random.default_rng(33), 3, 4, 16)
+        L[0, 2, 2] = 0.0
+        L[1, 1, 1] = 5e-324
+        # no RuntimeWarning (an error under the test configuration)
+        assert simulator._bad_draws(L).tolist() == [True, True, False]
+
     def test_ill_conditioned_draw_is_redrawn_and_counted(self, monkeypatch):
-        draw = simulator.complex_gaussian
+        draw = simulator._bartlett_factor
         shapes = []
 
-        def first_draw_singular(rng, shape):
-            z = draw(rng, shape)
+        def first_factor_near_singular(rng, n, K, M):
+            L = draw(rng, n, K, M)
             if not shapes:
-                z[0, 1] = z[0, 0]  # trial 0 has two equal estimates
-            shapes.append(shape)
-            return z
+                L[0, 1, 1] = 1e-9  # trial 0: cond(L L^H) near 1e20
+            shapes.append(L.shape)
+            return L
 
-        monkeypatch.setattr(simulator, "complex_gaussian", first_draw_singular)
+        monkeypatch.setattr(simulator, "_bartlett_factor", first_factor_near_singular)
         cfg = SystemConfig(M=16, K=4, C=50, precoder=ZF)
         users = [UserLink(snr=2.0, rho=0.7)] * 4
         rep = validate_closed_form(cfg, users, 0, trials=300, seed=23)
         assert rep.resamples == 1
-        assert shapes == [(256, 4, 16), (1, 4, 16), (44, 4, 16)]
-        # the singular draw took no part: age 0 stays exact
+        assert shapes == [(256, 4, 4), (1, 4, 4), (44, 4, 4)]
+        # the near-singular draw took no part: age 0 stays exact
         assert rep.sinr_emp == pytest.approx(rep.sinr_cf, rel=1e-9)
 
 
@@ -248,7 +307,7 @@ class TestValidateClosedForm:
         cfg = SystemConfig(M=M, K=K, C=50, precoder=precoder)
         users = [UserLink(snr=4.0, rho=0.8)] * K
         rep = validate_closed_form(cfg, users, 2, trials=20_000, seed=24)
-        for term in ("signal", "variance", "interference"):
+        for term in TERMS:
             emp, cf, se = (getattr(rep, f"{term}_{part}") for part in ("emp", "cf", "se"))
             assert 0.0 < se < 0.05 * cf, term
             assert abs(emp - cf) <= 6.0 * se, term
@@ -279,8 +338,10 @@ class TestValidateClosedForm:
     def test_rejects_bad_arguments(self):
         cfg = SystemConfig(M=16, K=2, C=50, precoder=MF)
         users = [UserLink(snr=1.0, rho=0.9)] * 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials"):
             validate_closed_form(cfg, users, 1, trials=0, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            validate_closed_form(cfg, users, 1, trials=10, seed=-1)
 
     def test_max_trials_spawns_one_seed_per_batch(self, monkeypatch):
         # An up-front spawn at MAX_TRIALS makes about 400,000 seeds before
