@@ -26,6 +26,7 @@ from .ratemodel import (
     SystemConfig,
     UserLink,
     build_rate_tables,
+    check_pilot_length,
     rate,
     total_snr,
 )
@@ -38,8 +39,8 @@ _RETIRED_KEYS = {"delta": float, "step_a": float, "max_iter": int, "tol": float}
 
 
 # Largest user set a scenario may draw.  Every command builds one rate table
-# per user in Python, and a T-search sorts all K * L table segments, so larger
-# sets take hours and gigabytes before any result.
+# per user, and a T-search sorts all K * L table segments, so larger sets
+# take hours and gigabytes before any result.
 MAX_USERS = 100_000
 
 
@@ -190,15 +191,19 @@ def cmd_rates(scenario: Scenario, ages) -> SweepResult:
 
 def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
     """Optimal updating frequency against temporal correlation, per pilot
-    length and precoder (both precoders on the same user draw)."""
+    length and precoder (both precoders on the same user draw).  One
+    T-search per precoder answers every requested T."""
     users = scenario.draw_users()
+    # every T first, so that a bad one fails before any table is built
+    for T in t_values:
+        check_pilot_length(int(T), scenario.K, scenario.C)
+    order = np.argsort([u.rho for u in users], kind="stable")
     rows = []
     for precoder in (MF, ZF):
         cfg = replace(scenario, precoder=precoder).config()
-        tables = build_rate_tables(cfg, users)
+        _, _, curve = optimize_pilot_length(cfg, build_rate_tables(cfg, users))
         for T in t_values:
-            alloc = optimize_frequencies(cfg, tables, int(T))
-            order = np.argsort([u.rho for u in users], kind="stable")
+            alloc = curve[int(T)]
             for k in order:
                 rows.append((users[k].rho, float(alloc.p[k]), int(T), precoder))
     return SweepResult(

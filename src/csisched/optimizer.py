@@ -8,8 +8,10 @@ solves the problem exactly (Ibaraki & Katoh, Resource Allocation Problems,
 optimize_frequencies).  An outer one-dimensional search picks the pilot
 length T.  The fill order does not depend on T, so a private fill plan stacks
 the users' rate tables, sorts the segments once per user set, and the search
-reads every T's cut from it.  The rate tables are the user set: p[k] is the
-frequency of tables[k].user.
+reads every T's cut from it.  A cut reads only the segments from its marginal
+group on, the tail of the fill order: each user holds 1 less the widths of
+its segments there.  The rate tables are the user set: p[k] is the frequency
+of tables[k].user.
 """
 
 from __future__ import annotations
@@ -95,13 +97,13 @@ def project_capped_simplex(x, T: float) -> np.ndarray:
 
 def _fold_residual(p: np.ndarray, T: float) -> None:
     """Fold the last few ulps of the sum constraint into the largest interior
-    coordinate, keeping it inside the box."""
+    coordinate that takes them without leaving the box."""
     residual = T - p.sum()
     if residual != 0.0:
-        interior = (p > 0.0) & (p < 1.0)
-        if interior.any():
-            k = np.argmax(np.where(interior, p, -np.inf))
-            p[k] = min(max(p[k] + residual, 0.0), 1.0)
+        room = (p > 0.0) & (p < 1.0) & (p + residual >= 0.0) & (p + residual <= 1.0)
+        if room.any():
+            k = np.argmax(np.where(room, p, -np.inf))
+            p[k] += residual
 
 
 def optimize_frequencies(cfg: SystemConfig, tables, T: int) -> FrequencyAllocation:
@@ -152,9 +154,13 @@ class _FillPlan:
     tail slope; ``prefix`` holds the rows' G.  On p in [1/(m+1), 1/m], S_k
     has slope G_k(m) - m R_k(m), m = 1..L, and the last segment covers
     (0, 1/L], so each user's widths sum to 1.  The plan sorts the K*L slopes
-    once (stably, so equal slopes keep user-major order) and accumulates the
-    sorted widths once; a budget T then only needs its cut in that order.
-    ``rank`` is the inverse permutation, with shape (K, L).
+    once (stably, so equal slopes keep user-major order) and keeps, in that
+    order, the negated slopes ``key`` (ascending, for searchsorted), the
+    widths, their running sum ``cum`` and each segment's ``user``; ``top``
+    is each user's largest slope.  A budget T then places its cut and reads
+    the tail of the order from its marginal group on.  The tail is short: a
+    user fills from p = 0 up, so it leaves only its widest segments, about
+    1/p_k of them, unfilled (all L of them at p_k = 0).
     """
 
     def __init__(self, tables):
@@ -167,19 +173,24 @@ class _FillPlan:
             rates[k, : t.n_max + 1] = t.rates
             rates[k, t.n_max + 1 :] = t.rates[-1]
         self.rates = rates
-        self.prefix = np.concatenate([np.zeros((K, 1)), np.cumsum(rates, axis=1)], axis=1)
+        self.prefix = np.zeros((K, L + 2))
+        np.cumsum(rates, axis=1, out=self.prefix[:, 1:])
         if L == 0:
             return
         m = np.arange(1, L + 1)
-        self.slopes = (self.prefix[:, 1 : L + 1] - m * rates[:, 1 : L + 1]).ravel()
         widths = 1.0 / m - 1.0 / (m + 1)
         widths[-1] = 1.0 / L
-        self.widths = widths  # one row, broadcast over the K users
-        self.order = np.argsort(-self.slopes, kind="stable")
-        self.cum = np.cumsum(widths[self.order % L])
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(K * L)
-        self.rank = rank.reshape(K, L)
+        key = m * rates[:, 1 : L + 1] - self.prefix[:, 1 : L + 1]
+        self.top = -key.min(axis=1)
+        order = np.argsort(key, axis=None, kind="stable")
+        # each K*L array is freed as soon as the next one is built
+        self.key = key.ravel()[order]
+        del key
+        self.user = (order // L).astype(np.int32)
+        order %= L
+        self.widths = widths[order]
+        del order
+        self.cum = np.cumsum(self.widths)
 
     def allocation(self, cfg: SystemConfig, T: int) -> FrequencyAllocation:
         """The optimal allocation at pilot length T, 0 <= T <= min(K, C)."""
@@ -201,31 +212,32 @@ class _FillPlan:
 
     def _water_fill(self, T: int) -> np.ndarray:
         """Greedy marginal allocation of the budget 0 < T < K: every segment
-        ranked before the marginal group is filled whole."""
-        slopes, order, rank, widths = self.slopes, self.order, self.rank, self.widths
-        L = self.L
+        ordered before the marginal group is filled whole."""
+        key, widths, user = self.key, self.widths, self.user
+        K = self.K
+        # The marginal group [g0, g1): the segments whose slope ties the
+        # cut's, which sit next to each other in the sorted order.  Its
+        # budget exceeds 1e-12.
         cut = int(np.searchsorted(self.cum, T - 1e-12))
-        # The marginal group: the segments whose slope ties the cut's, which
-        # sit next to each other in the sorted order.  Its budget exceeds
-        # 1e-12.
-        tie = slopes[order[cut]]
-        g0 = int(np.count_nonzero(slopes > tie))
-        g1 = int(np.count_nonzero(slopes >= tie))
-        members = order[g0:g1]
-        budget = T - (self.cum[g0 - 1] if g0 > 0 else 0.0)
-        fill = np.where(rank < g0, widths, 0.0)
+        g0 = int(np.searchsorted(key, key[cut], side="left"))
+        g1 = int(np.searchsorted(key, key[cut], side="right"))
+        tie = -key[cut]
+        # A user with a whole segment holds 1 less the widths it has from g0
+        # on; a user with none holds 0, not the rounding of 1 - 1.
+        unfilled = np.bincount(user[g0:], weights=widths[g0:], minlength=K)
+        p = np.where(self.top > tie, 1.0 - unfilled, 0.0)
+        budget = T - p.sum()
 
-        # Users left at 0 whose S_k jumps there take a sliver of the marginal
-        # group's budget on their last segment.
-        filled = (rank < g1).any(axis=1)
-        owed = np.flatnonzero(~filled & (self.rates[:, L] >= TAIL_EPSILON))
+        # Users with no segment in or before the group whose S_k jumps at 0
+        # take a sliver of the group's budget.
+        owed = np.flatnonzero((self.top < tie) & (self.rates[:, self.L] >= TAIL_EPSILON))
         if owed.size:
             sliver = min(P_SLIVER, budget / (2 * owed.size))
-            fill[owed, L - 1] = sliver
+            p[owed] = sliver
             budget -= sliver * owed.size
-        share = widths[members % L]
-        fill.reshape(-1)[members] = share * (budget / share.sum())
-        p = np.minimum(fill.sum(axis=1), 1.0)
+        share = widths[g0:g1]
+        p += np.bincount(user[g0:g1], weights=share * (budget / share.sum()), minlength=K)
+        p = np.minimum(p, 1.0)
         _fold_residual(p, T)
         return p
 

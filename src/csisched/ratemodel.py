@@ -8,7 +8,8 @@ temporal correlation rho**(2n).  This module provides:
   precoding as a function of the age of CSI,
 * memoized per-user rate tables R(0), R(1), ... and their cumulative sums
   G(n) = R(0) + ... + R(n-1), cut at the first rate below TAIL_EPSILON or
-  at N_MAX_HARD (the optimizer's fill plan stacks the tables of a user set),
+  at N_MAX_HARD, built for a whole user set by one doubling scan over the
+  ages (the optimizer's fill plan stacks the tables of a user set),
 * the piecewise-linear extension of G to real arguments and the per-user
   rate S(p) = p * G(1/p) attained by a quasi-periodic updating interval,
 * a parabola-smoothed, differentiable version of G and S, the paper's
@@ -98,34 +99,45 @@ def total_snr(users: Iterable[UserLink]) -> float:
     return float(sum(u.snr for u in users))
 
 
-def sinr(cfg: SystemConfig, user: UserLink, interference_sum: float, n) -> float:
+def sinr(cfg: SystemConfig, user, interference_sum: float, n):
     """Closed-form SINR of a user whose CSI is n blocks old.
 
-    ``interference_sum`` is the sum of linear SNRs over all K users
-    (including this one).  ``n`` may be a scalar or an integer array.
-    Raises ValueError when the interference total or snr * M is not finite,
-    where the formula would give NaN.
+    ``user`` is a UserLink, or a sequence of them, which gives one row per
+    user: shape (len(user),) + shape of n.  ``interference_sum`` is the sum
+    of linear SNRs over all K users (including this one).  ``n`` may be a
+    scalar or an integer array.  Raises ValueError when the interference
+    total or snr * M is not finite, where the formula would give NaN; the
+    message names the first such user's snr.
     """
     n = np.asarray(n, dtype=float)
     if np.any(n < 0):
         raise ValueError("age of CSI must be nonnegative")
     if interference_sum < 0:
         raise ValueError("interference_sum must be nonnegative")
-    if not (math.isfinite(interference_sum) and math.isfinite(float(user.snr) * cfg.M)):
-        raise ValueError(f"snr={user.snr!r} with interference total {interference_sum!r} overflows")
-    decay = user.rho ** (2.0 * n)
+    if isinstance(user, UserLink):
+        links, snr, rho = [user], user.snr, user.rho
+    else:
+        links = list(user)
+        column = (-1,) + (1,) * n.ndim
+        snr = np.array([u.snr for u in links], dtype=float).reshape(column)
+        rho = np.array([u.rho for u in links], dtype=float).reshape(column)
+    for u in links:
+        if not (math.isfinite(interference_sum) and math.isfinite(float(u.snr) * cfg.M)):
+            raise ValueError(f"snr={u.snr!r} with interference total {interference_sum!r} overflows")
+    decay = rho ** (2.0 * n)
     if cfg.precoder == MF:
-        out = user.snr * cfg.M * decay / (1.0 + interference_sum)
+        out = snr * cfg.M * decay / (1.0 + interference_sum)
     else:
         out = (
-            user.snr * (cfg.M - cfg.K) * decay
+            snr * (cfg.M - cfg.K) * decay
             / (1.0 + (1.0 - decay) * interference_sum)
         )
     return out if out.ndim else float(out)
 
 
-def rate(cfg: SystemConfig, user: UserLink, interference_sum: float, n) -> float:
-    """Transmission rate log2(1 + SINR) in bits per channel use."""
+def rate(cfg: SystemConfig, user, interference_sum: float, n) -> float:
+    """Transmission rate log2(1 + SINR) in bits per channel use; ``user``
+    and ``n`` as for sinr."""
     g = np.log1p(sinr(cfg, user, interference_sum, n)) / np.log(2.0)
     return g if np.ndim(g) else float(g)
 
@@ -152,34 +164,52 @@ class RateTable:
 
 
 def build_rate_table(cfg: SystemConfig, user: UserLink, interference_sum: float) -> RateTable:
-    """Tabulate R(0..n_max) and the prefix sums G(0..n_max+1) for one user.
-
-    The table ends at the first age whose rate drops below TAIL_EPSILON; a
-    channel that decays too slowly (rho = 1 never decays) is cut at
-    N_MAX_HARD.  The optimizer's sliver rule relies on these two constants.
-    """
-    # Geometric decay makes a doubling scan cheap.
-    rates = np.array([rate(cfg, user, interference_sum, 0)])
-    while rates[-1] >= TAIL_EPSILON and len(rates) <= N_MAX_HARD:
-        lo = len(rates)
-        hi = min(2 * lo, N_MAX_HARD + 1)
-        block = rate(cfg, user, interference_sum, np.arange(lo, hi))
-        rates = np.concatenate([rates, np.atleast_1d(block)])
-    below = np.nonzero(rates < TAIL_EPSILON)[0]
-    n_max = int(below[0]) if below.size else N_MAX_HARD
-    rates = rates[: n_max + 1]
-    prefix = np.concatenate([[0.0], np.cumsum(rates)])
-    rates.flags.writeable = False
-    prefix.flags.writeable = False
-    return RateTable(user=user, rates=rates, prefix=prefix, n_max=len(rates) - 1)
+    """Tabulate R(0..n_max) and the prefix sums G(0..n_max+1) for one user:
+    the one-user case of build_rate_tables."""
+    return _scan_tables(cfg, [user], interference_sum)[0]
 
 
 def build_rate_tables(cfg: SystemConfig, users: Sequence[UserLink]) -> list[RateTable]:
     """Rate tables for a set of cfg.K users, sharing one interference total."""
     if len(users) != cfg.K:
         raise ValueError(f"{len(users)} users for a configuration of K={cfg.K}")
-    isum = total_snr(users)
-    return [build_rate_table(cfg, u, isum) for u in users]
+    return _scan_tables(cfg, users, total_snr(users))
+
+
+def _scan_tables(cfg: SystemConfig, users: Sequence[UserLink], interference_sum: float) -> list[RateTable]:
+    """Rate tables of several users by one doubling scan over the ages.
+
+    Each table ends at the first age whose rate drops below TAIL_EPSILON; a
+    channel that decays too slowly (rho = 1 never decays) is cut at
+    N_MAX_HARD.  The optimizer's sliver rule relies on these two constants.
+    Geometric decay makes the doubling cheap: the ages [lo, hi) of every user
+    still above the cutoff are evaluated in one call, and a user leaves the
+    scan once its last rate is below it.  Every block holds at least two
+    ages: numpy runs a one-age block of several users along the user axis,
+    where its power may round differently, while with two or more each
+    entry equals rate(cfg, user, interference_sum, np.arange(n_max + 1)) bit
+    for bit.
+    """
+    blocks = [[] for _ in users]
+    active = np.arange(len(users))
+    lo, hi = 0, 2
+    while active.size and lo <= N_MAX_HARD:
+        block = rate(cfg, [users[k] for k in active], interference_sum, np.arange(lo, hi))
+        for k, row in zip(active, block):
+            blocks[k].append(row)
+        active = active[block[:, -1] >= TAIL_EPSILON]
+        lo, hi = hi, min(2 * hi, N_MAX_HARD + 1)
+    tables = []
+    for user, parts in zip(users, blocks):
+        rates = np.concatenate(parts)
+        below = np.flatnonzero(rates < TAIL_EPSILON)
+        n_max = int(below[0]) if below.size else N_MAX_HARD
+        rates = rates[: n_max + 1]
+        prefix = np.concatenate([[0.0], np.cumsum(rates)])
+        rates.flags.writeable = False
+        prefix.flags.writeable = False
+        tables.append(RateTable(user=user, rates=rates, prefix=prefix, n_max=n_max))
+    return tables
 
 
 def _check_x(x):

@@ -3,12 +3,15 @@
 These deliberately avoid the library's own algorithms: the projection oracle
 enumerates pin patterns, the interval oracle scans explicit distributions,
 the grid oracle exhausts the feasible simplex, the per-T water-fill sorts
-every budget's segments anew, the replay oracle walks a schedule block by
-block, and the raw-channel Monte Carlo kernel draws every estimate and
-precodes with explicit MF/ZF matrices.
+every budget's segments anew, the exact water-fill takes every sum without
+rounding, the replay oracle walks a schedule block by block, and the
+raw-channel Monte Carlo kernel draws every estimate and precodes with
+explicit MF/ZF matrices.
 """
 
+import bisect
 import itertools
+import math
 
 import numpy as np
 
@@ -115,10 +118,13 @@ def per_t_water_fill(tables, T, C):
     Segment m = 1..L of user k covers p in [1/(m+1), 1/m] (the last one
     (0, 1/L]) with slope G_k(m) - m R_k(m).  Segments are filled whole in
     order of decreasing slope (a stable sort) up to the marginal equal-slope
-    group; a user left at 0 whose tail rate is at least TAIL_EPSILON gets the
-    sliver 2**-52 from the group's budget, and the group splits the rest in
-    proportion to width.  The last ulps of the sum go to the largest
-    interior p_k.  Returns (p, (1 - T/C) * sum_k S_k(p_k)).
+    group.  A user with a whole segment holds 1 less the widths of its
+    other segments, added in fill order; a user with none holds 0.  The
+    group's budget is T less those holdings; a user with no segment in or
+    before the group whose tail rate is at least TAIL_EPSILON gets the
+    sliver 2**-52 from it, and the group splits the rest in proportion to
+    width.  The last ulps of the sum go to the largest interior p_k that
+    takes them within [0, 1].  Returns (p, (1 - T/C) * sum_k S_k(p_k)).
     """
     K = len(tables)
     rates = _padded(tables)
@@ -140,30 +146,84 @@ def per_t_water_fill(tables, T, C):
         cum = np.cumsum(widths[order])
         tie = slopes[order[int(np.searchsorted(cum, T - 1e-12))]]
         g0 = int(np.count_nonzero(slopes > tie))
-        members = order[g0 : int(np.count_nonzero(slopes >= tie))]
-        budget = T - (cum[g0 - 1] if g0 > 0 else 0.0)
-        fill = np.zeros(K * L)
-        fill[order[:g0]] = widths[order[:g0]]
-        filled = np.zeros(K, dtype=bool)
-        filled[order[: g0 + members.size] // L] = True
-        owed = np.flatnonzero(~filled & (rates[:, L] >= TAIL_EPSILON))
+        g1 = int(np.count_nonzero(slopes >= tie))
+        whole = np.zeros(K, dtype=bool)
+        whole[order[:g0] // L] = True
+        reached = np.zeros(K, dtype=bool)
+        reached[order[:g1] // L] = True
+        p = np.zeros(K)
+        tail = order[g0:]
+        for k in np.flatnonzero(whole):
+            rest = widths[tail[tail // L == k]]
+            p[k] = 1.0 - (np.cumsum(rest)[-1] if rest.size else 0.0)
+        budget = T - p.sum()
+        owed = np.flatnonzero(~reached & (rates[:, L] >= TAIL_EPSILON))
         if owed.size:
             sliver = min(2.0**-52, budget / (2 * owed.size))
-            fill[owed * L + L - 1] = sliver
+            p[owed] = sliver
             budget -= sliver * owed.size
-        fill[members] = widths[members] * (budget / widths[members].sum())
-        p = np.minimum(fill.reshape(K, L).sum(axis=1), 1.0)
+        members = order[g0:g1]
+        scale = budget / widths[members].sum()
+        for k in range(K):
+            mine = members[members // L == k]
+            if mine.size:
+                p[k] += np.cumsum(widths[mine] * scale)[-1]
+        p = np.minimum(p, 1.0)
         residual = T - p.sum()
-        interior = (p > 0.0) & (p < 1.0)
-        if residual != 0.0 and interior.any():
-            k = np.argmax(np.where(interior, p, -np.inf))
-            p[k] = min(max(p[k] + residual, 0.0), 1.0)
+        room = (p > 0.0) & (p < 1.0) & (p + residual >= 0.0) & (p + residual <= 1.0)
+        if residual != 0.0 and room.any():
+            k = np.argmax(np.where(room, p, -np.inf))
+            p[k] += residual
     pos = p > 0
     x = 1.0 / np.where(pos, p, 1.0)
     n = np.minimum(np.floor(x).astype(np.intp), L)
     rows = np.arange(K)
     s = np.where(pos, p * (prefix[rows, n] + (x - n) * rates[rows, n]), 0.0)
     return p, (1.0 - T / C) * float(s.sum())
+
+
+def exact_water_fill(tables, t_max):
+    """The greedy fill of per_t_water_fill for T = 0..t_max with every sum
+    exact: the cut from integer running sums of the sorted widths, each
+    user's whole segments, the budget, the group's width and each user's
+    total by math.fsum.  Returns the list of p."""
+    K = len(tables)
+    rates = _padded(tables)
+    L = rates.shape[1] - 1
+    prefix = np.concatenate([np.zeros((K, 1)), np.cumsum(rates, axis=1)], axis=1)
+    if L == 0:
+        return [np.zeros(K)] + [np.full(K, T / K) for T in range(1, t_max + 1)]
+    m = np.arange(1, L + 1)
+    slopes = prefix[:, 1 : L + 1] - m * rates[:, 1 : L + 1]
+    widths = 1.0 / m - 1.0 / (m + 1)
+    widths[-1] = 1.0 / L
+    order = np.argsort(-slopes, axis=None, kind="stable")
+    # every width is an integer multiple of 2**low
+    mantissa, exponent = np.frexp(widths[order % L])
+    low = int(exponent.min()) - 53
+    running = list(itertools.accumulate(
+        int(f * 2**53) << (e - 53 - low) for f, e in zip(mantissa.tolist(), exponent.tolist())
+    ))
+    out = [np.zeros(K)]
+    for T in range(1, t_max + 1):
+        if T == K:
+            out.append(np.ones(K))
+            continue
+        num, den = (T - 1e-12).as_integer_ratio()
+        cut = bisect.bisect_left(running, -((-num << -low) // den))
+        tie = slopes.ravel()[order[cut]]
+        whole = [math.fsum(widths[row > tie].tolist()) for row in slopes]
+        budget = math.fsum([T] + [-w for w in whole])
+        owed = ~(slopes >= tie).any(axis=1) & (rates[:, L] >= TAIL_EPSILON)
+        sliver = min(2.0**-52, budget / (2 * max(owed.sum(), 1)))
+        budget = math.fsum([budget] + [-sliver] * int(owed.sum()))
+        scale = budget / math.fsum(np.broadcast_to(widths, slopes.shape)[slopes == tie].tolist())
+        p = np.array([
+            sliver if owed[k] else math.fsum([whole[k]] + (widths[row == tie] * scale).tolist())
+            for k, row in enumerate(slopes)
+        ])
+        out.append(np.minimum(p, 1.0))
+    return out
 
 
 def block_replay(schedule, tables):

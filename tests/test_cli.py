@@ -371,6 +371,25 @@ class TestMain:
         assert err.startswith("csisched:") and "M=64, K=64" in err and err.count("\n") == 1
         assert len(calls) == 0
 
+    def test_sweep_rho_rejects_a_bad_pilot_length_before_any_table(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        build = cli.build_rate_tables
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_rate_tables", counted)
+        path = tmp_path / "small.txt"
+        path.write_text("M = 64\nK = 6\n")
+        argv = ["sweep-rho", "--scenario", str(path), "--pilot-lengths", "2,7"]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("csisched:") and "pilot length T=7" in err and err.count("\n") == 1
+        assert len(calls) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

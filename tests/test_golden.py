@@ -22,6 +22,7 @@ SCENARIOS = {
     "slowfade": ("rho_lo = 0.95\nrho_hi = 0.999\nseed = 92\n", 40, 23),
     "hardcap": ("K = 6\nrho_lo = 1\nrho_hi = 1\nseed = 1\n", 6, 3),
 }
+COMMANDS = ["rates", "sweep-rho", "sweep-pilot", "sweep-users", "schedule"]
 
 
 def _argv(command, K, T):
@@ -38,7 +39,7 @@ def _argv(command, K, T):
     return [command] + extra, [f"{command}.csv"]
 
 
-@pytest.mark.parametrize("command", ["rates", "sweep-rho", "sweep-pilot", "sweep-users", "schedule"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_output_matches_golden(tmp_path, name, command):
     text, K, T = SCENARIOS[name]

@@ -1,15 +1,24 @@
 """Optimizer tests: capped-simplex projection against a QP oracle, the
-water-fill against grid search and against a per-T fill, endpoint
-identities."""
+water-fill against grid search, against a per-T fill and against a fill
+with exact sums, endpoint identities."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import grid_best_objective, per_t_water_fill, projection_oracle
+from oracles import (
+    exact_water_fill,
+    grid_best_objective,
+    per_t_water_fill,
+    projection_oracle,
+)
 
+from csisched.cli import Scenario
 from csisched.optimizer import (
     FrequencyAllocation,
+    _fold_residual,
     optimize_frequencies,
     optimize_pilot_length,
     project_capped_simplex,
@@ -112,6 +121,16 @@ class TestProjection:
             p1 = project_capped_simplex(x, T)
             p2 = project_capped_simplex(p1, T)
             assert np.allclose(p1, p2, atol=1e-12)
+
+    def test_residual_goes_to_a_coordinate_with_room(self):
+        # The largest interior coordinate sits one ulp below 1 and cannot take
+        # a residual of 4 ulps; clipping it there dropped the residual.
+        p = np.array([1.0 - 2.0**-52, 0.25])
+        T = 1.25 + 3 * 2.0**-52
+        assert T - p.sum() == 4 * 2.0**-52
+        _fold_residual(p, T)
+        assert p[0] == 1.0 - 2.0**-52
+        assert p.sum() == T
 
     def test_order_preserving(self):
         rng = np.random.default_rng(19)
@@ -327,22 +346,29 @@ _MODEL_TABLE = st.sampled_from([(10.0, 0.6), (10.0, 0.9), (10.0, 1.0), (0.0, 0.8
 )
 
 
-class TestFillPlan:
-    # Picks index a pool of distinct tables, so users repeat and tie groups
-    # span users.  C = 3 caps the T-search below K for K > 3.
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(
-        pool=st.lists(st.one_of(_STEP_TABLE, _MODEL_TABLE), min_size=1, max_size=6),
-        picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
-        C=st.sampled_from([3, 50]),
-    )
-    @example(pool=[make_table([0.0])], picks=[0, 0, 0], C=50)
-    @example(pool=[make_table([2.0, 1.0, 1.0, 1.0, 0.0])], picks=[0, 0, 0, 0, 0, 0], C=50)
-    @example(
+def over_table_pools(test):
+    """Run test(self, pool, picks, C) on user sets drawn from a pool.
+
+    Picks index a pool of distinct tables, so users repeat and tie groups
+    span users.  C = 3 caps the T-search below K for K > 3.
+    """
+    test = example(
         pool=[build_rate_table(_MODEL_CFG, UserLink(10.0, r), 60.0) for r in (0.6, 1.0, 0.9)],
         picks=[0, 1, 2, 1, 0, 2],
         C=50,
-    )
+    )(test)
+    test = example(pool=[make_table([2.0, 1.0, 1.0, 1.0, 0.0])], picks=[0, 0, 0, 0, 0, 0], C=50)(test)
+    test = example(pool=[make_table([0.0])], picks=[0, 0, 0], C=50)(test)
+    test = given(
+        pool=st.lists(st.one_of(_STEP_TABLE, _MODEL_TABLE), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        C=st.sampled_from([3, 50]),
+    )(test)
+    return settings(derandomize=True, database=None, deadline=None, max_examples=80)(test)
+
+
+class TestFillPlan:
+    @over_table_pools
     def test_matches_per_t_water_fill_property(self, pool, picks, C):
         tables = [pool[i % len(pool)] for i in picks]
         K = len(tables)
@@ -358,6 +384,31 @@ class TestFillPlan:
         # argmax keeps the first of equal objectives: ties go to the smaller T.
         assert best_T == int(np.argmax([objective for _, objective in want]))
         assert best is curve[best_T]
+
+
+def assert_exact_to_the_last_bits(cfg, tables):
+    """Every T's p within 5e-14 of the exactly summed greedy, and its exact
+    sum within 1e-14 of T."""
+    _, _, curve = optimize_pilot_length(cfg, tables)
+    for alloc, exact in zip(curve, exact_water_fill(tables, len(curve) - 1)):
+        assert np.max(np.abs(alloc.p - exact)) <= 5e-14, alloc.T
+        assert abs(math.fsum(alloc.p.tolist()) - alloc.T) <= 1e-14, alloc.T
+
+
+class TestExactSums:
+    @over_table_pools
+    def test_matches_exact_greedy_property(self, pool, picks, C):
+        tables = [pool[i % len(pool)] for i in picks]
+        assert_exact_to_the_last_bits(SystemConfig(M=64, K=len(tables), C=C, precoder=MF), tables)
+
+    # Slow-fading draws: tables of about 4,700 ages, 187,000 segments, where
+    # a running sum of the sorted widths drifts by about 1e-13.
+    @pytest.mark.parametrize("precoder", [MF, ZF])
+    @pytest.mark.parametrize("seed", [92, 131])
+    def test_matches_exact_greedy_on_slow_fading_draws(self, seed, precoder):
+        scenario = Scenario(precoder=precoder, rho_lo=0.95, rho_hi=0.999, seed=seed)
+        cfg = scenario.config()
+        assert_exact_to_the_last_bits(cfg, build_rate_tables(cfg, scenario.draw_users()))
 
 
 class TestSettings:

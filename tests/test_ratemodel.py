@@ -70,6 +70,23 @@ class TestSinr:
                 with pytest.raises(ValueError, match="snr=1e\\+308"):
                     sinr(cfg, loud, isum, np.arange(3))
 
+    def test_user_sequence_gives_one_row_per_user(self):
+        users = [UserLink(snr=10.0, rho=0.9), UserLink(snr=3.0, rho=0.5), UserLink(snr=0.0, rho=1.0)]
+        ages = np.arange(7)
+        for cfg in (MF_CFG, ZF_CFG):
+            rows = sinr(cfg, users, 40.0, ages)
+            assert rows.shape == (3, 7)
+            for u, row in zip(users, rows):
+                assert np.array_equal(row, sinr(cfg, u, 40.0, ages))
+            assert sinr(cfg, users, 40.0, 2).shape == (3,)
+
+    @pytest.mark.filterwarnings("error")
+    def test_user_sequence_overflow_names_the_first_bad_snr(self):
+        users = [UserLink(snr=1.0, rho=0.9), UserLink(snr=1e308, rho=0.5), UserLink(snr=2e307, rho=0.5)]
+        for cfg in (MF_CFG, ZF_CFG):
+            with pytest.raises(ValueError, match="snr=1e\\+308"):
+                sinr(cfg, users, 10.0, np.arange(3))
+
     def test_monotone_in_age(self):
         rng = np.random.default_rng(7)
         ages = np.arange(51)
@@ -112,6 +129,21 @@ class TestRateTable:
         assert np.allclose(t.rates, direct, rtol=0, atol=0)
         assert np.all(np.diff(t.rates) < 0)
         assert t.rates[t.n_max] < 1e-9 <= t.rates[t.n_max - 1]
+
+    def test_user_set_scan_matches_one_user_tables(self):
+        # rho = 0 ends at age 1, rho = 1 at the hard cap, snr = 0 at age 0.
+        links = [(10.0, 0.0), (10.0, 1.0), (0.0, 0.7), (10.0, 0.999), (2.0, 0.6), (10.0, 0.9)]
+        users = [UserLink(snr=snr, rho=rho) for snr, rho in links]
+        isum = total_snr(users)
+        for precoder in (MF, ZF):
+            cfg = SystemConfig(M=64, K=len(users), C=50, precoder=precoder)
+            tables = build_rate_tables(cfg, users)
+            assert [t.n_max for t in tables][:3] == [1, N_MAX_HARD, 0]
+            for u, t in zip(users, tables):
+                one = build_rate_table(cfg, u, isum)
+                assert t.user is u and t.n_max == one.n_max
+                assert np.array_equal(t.rates, one.rates) and np.array_equal(t.prefix, one.prefix)
+                assert np.array_equal(t.rates, rate(cfg, u, isum, np.arange(t.n_max + 1)))
 
     def test_prefix_sums_are_cumulative(self):
         rng = np.random.default_rng(3)
