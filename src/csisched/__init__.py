@@ -22,6 +22,7 @@ from .ratemodel import (
 from .optimizer import (
     FrequencyAllocation,
     optimize_frequencies,
+    optimize_frequencies_at,
     optimize_pilot_length,
     project_capped_simplex,
 )

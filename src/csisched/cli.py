@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .optimizer import optimize_frequencies, optimize_pilot_length
+from .optimizer import optimize_frequencies, optimize_frequencies_at, optimize_pilot_length
 from .ratemodel import (
     MF,
     ZF,
@@ -192,7 +192,7 @@ def cmd_rates(scenario: Scenario, ages) -> SweepResult:
 def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
     """Optimal updating frequency against temporal correlation, per pilot
     length and precoder (both precoders on the same user draw).  One
-    T-search per precoder answers every requested T."""
+    fill plan per precoder answers every requested T."""
     users = scenario.draw_users()
     # every T first, so that a bad one fails before any table is built
     for T in t_values:
@@ -201,9 +201,8 @@ def cmd_sweep_rho(scenario: Scenario, t_values) -> SweepResult:
     rows = []
     for precoder in (MF, ZF):
         cfg = replace(scenario, precoder=precoder).config()
-        _, _, curve = optimize_pilot_length(cfg, build_rate_tables(cfg, users))
-        for T in t_values:
-            alloc = curve[int(T)]
+        allocs = optimize_frequencies_at(cfg, build_rate_tables(cfg, users), t_values)
+        for T, alloc in zip(t_values, allocs):
             for k in order:
                 rows.append((users[k].rho, float(alloc.p[k]), int(T), precoder))
     return SweepResult(

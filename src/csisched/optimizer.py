@@ -121,24 +121,32 @@ def optimize_frequencies(cfg: SystemConfig, tables, T: int) -> FrequencyAllocati
     gets the sliver p_k = P_SLIVER instead, which collects the jump and
     costs the others at most P_SLIVER times the marginal slope.
 
-    Builds the fill plan of ``tables`` for this one T; optimize_pilot_length
-    reads every T from a single plan through the same code.
+    Builds the fill plan of ``tables`` for this one T; optimize_frequencies_at
+    and optimize_pilot_length read several T from a single plan through the
+    same code.
     """
     return _FillPlan(tables).allocation(cfg, T)
+
+
+def optimize_frequencies_at(cfg: SystemConfig, tables, t_values) -> list[FrequencyAllocation]:
+    """optimize_frequencies at each pilot length of ``t_values``, in order.
+
+    The segments' fill order does not depend on T, so one fill plan (one
+    sort) serves them all, and each T costs only its cut.
+    """
+    plan = _FillPlan(tables)
+    return [plan.allocation(cfg, T) for T in t_values]
 
 
 def optimize_pilot_length(cfg: SystemConfig, tables):
     """Search the pilot length: solve the frequency problem for every
     integer T in [0, min(K, C)] and keep the best objective.
 
-    The segments' fill order does not depend on T, so one fill plan (one
-    sort of all K*L segment slopes) answers every T, and each T only places
-    its cut.  Returns (best_T, best allocation, full per-T curve).  Ties go
-    to the smaller T.
+    One fill plan (one sort of all K*L segment slopes) answers every T, and
+    each T only places its cut.  Returns (best_T, best allocation, full per-T
+    curve).  Ties go to the smaller T.
     """
-    plan = _FillPlan(tables)
-    t_hi = min(len(tables), cfg.C)
-    curve = [plan.allocation(cfg, T) for T in range(t_hi + 1)]
+    curve = optimize_frequencies_at(cfg, tables, range(min(len(tables), cfg.C) + 1))
     best_T = 0
     for T, alloc in enumerate(curve):
         if alloc.objective > curve[best_T].objective:
@@ -216,17 +224,25 @@ class _FillPlan:
         key, widths, user = self.key, self.widths, self.user
         K = self.K
         # The marginal group [g0, g1): the segments whose slope ties the
-        # cut's, which sit next to each other in the sorted order.  Its
-        # budget exceeds 1e-12.
+        # cut's, which sit next to each other in the sorted order.  The cut
+        # leaves cum[g0 - 1] more than 1e-12 below T.
         cut = int(np.searchsorted(self.cum, T - 1e-12))
-        g0 = int(np.searchsorted(key, key[cut], side="left"))
-        g1 = int(np.searchsorted(key, key[cut], side="right"))
-        tie = -key[cut]
-        # A user with a whole segment holds 1 less the widths it has from g0
-        # on; a user with none holds 0, not the rounding of 1 - 1.
-        unfilled = np.bincount(user[g0:], weights=widths[g0:], minlength=K)
-        p = np.where(self.top > tie, 1.0 - unfilled, 0.0)
-        budget = T - p.sum()
+        while True:
+            g0 = int(np.searchsorted(key, key[cut], side="left"))
+            g1 = int(np.searchsorted(key, key[cut], side="right"))
+            tie = -key[cut]
+            # A user with a whole segment holds 1 less the widths it has from
+            # g0 on; a user with none holds 0, not the rounding of 1 - 1.
+            unfilled = np.bincount(user[g0:], weights=widths[g0:], minlength=K)
+            p = np.where(self.top > tie, 1.0 - unfilled, 0.0)
+            budget = T - p.sum()
+            # The holdings equal cum[g0 - 1] up to the running sum's rounding
+            # drift.  Where that drift passes the margin, the holdings come
+            # within 1e-12 of T or past it: the group before is the marginal
+            # one.  At g0 = 0 nothing is held, so the budget is T.
+            if budget > 1e-12:
+                break
+            cut = g0 - 1
 
         # Users with no segment in or before the group whose S_k jumps at 0
         # take a sliver of the group's budget.

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csisched import cli
+from csisched import cli, optimizer
 from csisched.cli import (
     Scenario,
     cmd_rates,
@@ -389,6 +389,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("csisched:") and "pilot length T=7" in err and err.count("\n") == 1
         assert len(calls) == 0
+
+    def test_sweep_rho_cuts_one_plan_per_precoder_at_the_requested_lengths(
+        self, tmp_path, monkeypatch
+    ):
+        plans, cuts = [], []
+        init, allocation = optimizer._FillPlan.__init__, optimizer._FillPlan.allocation
+
+        def counted_init(self, tables):
+            plans.append(len(tables))
+            init(self, tables)
+
+        def counted_allocation(self, cfg, T):
+            cuts.append(T)
+            return allocation(self, cfg, T)
+
+        monkeypatch.setattr(optimizer._FillPlan, "__init__", counted_init)
+        monkeypatch.setattr(optimizer._FillPlan, "allocation", counted_allocation)
+        path = tmp_path / "small.txt"
+        path.write_text("M = 64\nK = 30\n")
+        argv = ["sweep-rho", "--scenario", str(path), "--pilot-lengths", "5,2"]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert plans == [30, 30]
+        assert cuts == [5, 2, 5, 2]
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,7 +19,9 @@ from csisched.cli import Scenario
 from csisched.optimizer import (
     FrequencyAllocation,
     _fold_residual,
+    _FillPlan,
     optimize_frequencies,
+    optimize_frequencies_at,
     optimize_pilot_length,
     project_capped_simplex,
 )
@@ -376,14 +378,32 @@ class TestFillPlan:
         want = [per_t_water_fill(tables, T, C) for T in range(min(K, C) + 1)]
         best_T, best, curve = optimize_pilot_length(cfg, tables)
         assert [a.T for a in curve] == list(range(len(want)))
+        picked = optimize_frequencies_at(cfg, tables, range(len(want) - 1, -1, -1))[::-1]
         for T, (alloc, (p, objective)) in enumerate(zip(curve, want)):
             single = optimize_frequencies(cfg, tables, T)
-            for got in (alloc, single):
+            for got in (alloc, single, picked[T]):
                 assert np.array_equal(got.p, p)
                 assert got.objective == objective
         # argmax keeps the first of equal objectives: ties go to the smaller T.
         assert best_T == int(np.argmax([objective for _, objective in want]))
         assert best is curve[best_T]
+
+    @over_table_pools
+    def test_cut_survives_running_sum_drift_property(self, pool, picks, C):
+        # The running sum cum only places the cut; the holdings and the
+        # budget come from the per-user sums.  A drift of cum far past its
+        # 1e-12 margin moves the cut forward into a group the holdings
+        # already pay for, and the plan steps back to the same allocation.
+        tables = [pool[i % len(pool)] for i in picks]
+        K = len(tables)
+        cfg = SystemConfig(M=64, K=K, C=C, precoder=MF)
+        plan, drifted = _FillPlan(tables), _FillPlan(tables)
+        if plan.L:
+            drifted.cum -= 0.25
+        for T in range(min(K, C) + 1):
+            p = drifted.allocation(cfg, T).p
+            assert np.array_equal(p, plan.allocation(cfg, T).p)
+            assert p.min() >= 0.0
 
 
 def assert_exact_to_the_last_bits(cfg, tables):
